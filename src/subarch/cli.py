@@ -26,7 +26,7 @@ from .engine import (
 )
 from .errors import ConfigError, DataError, VerificationError
 from .metrics import analytic_maxpoint, ingest_measurements, maxpoint_from_measurements
-from .space import enumerate_space, stride_subsample
+from .space import ArchParams, enumerate_space, stride_subsample
 from .toynet import ToyNet, ToyNetConfig, count_instantiated_params, forward_with_stats
 
 # Emitted by `cost` for the one architecture whose closed-form count is known
@@ -103,9 +103,22 @@ def _settings(args: argparse.Namespace) -> dict:
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     if getattr(args, "output", None):
-        Path(args.output).write_text(text + "\n")
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {args.output}: {exc}") from exc
     else:
         print(text)
+
+
+def _arch_from(args: argparse.Namespace, settings: dict) -> ArchParams:
+    """The --arch flag, else the config's 'arch' key; cost and toy-forward need one."""
+    raw_arch = args.arch if args.arch is not None else settings.get("arch")
+    if raw_arch is None:
+        raise ConfigError(
+            f"{args.subcommand} needs an architecture: pass --arch D,A,H,I or set 'arch'"
+        )
+    return config_mod.parse_arch(raw_arch)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -136,60 +149,41 @@ def _cost_note(arch, emb) -> str | None:
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    raw_arch = args.arch if args.arch is not None else settings.get("arch")
-    if raw_arch is None:
-        raise ConfigError("cost needs an architecture: pass --arch D,A,H,I or set 'arch'")
-    arch = config_mod.parse_arch(raw_arch)
+    arch = _arch_from(args, settings)
     emb = config_mod.embedding_from(settings)
     breakdown = cost_breakdown(arch, emb)
     dominance = dominance_report(arch, emb)
-    note = _cost_note(arch, emb)
-    if args.format == "json":
-        doc = {
-            "arch": list(arch.as_tuple()),
-            "embedding": {"vocab": emb.vocab, "typepos": emb.typepos},
-            "params": {
-                "embedding": breakdown.embedding_params,
-                "encoder": breakdown.encoder_params,
-                "pooler": breakdown.pooler_params,
-                "total": breakdown.total_params,
-            },
-            "flops": {
-                "embedding": breakdown.embedding_flops,
-                "encoder": breakdown.encoder_flops,
-                "pooler": breakdown.pooler_flops,
-                "total": breakdown.total_flops,
-            },
-            "dominance": {
-                "encoder_param_ratio": dominance.encoder_param_ratio,
-                "encoder_flop_ratio": dominance.encoder_flop_ratio,
-            },
+    doc = {"arch": list(arch.as_tuple()), "embedding": {"vocab": emb.vocab, "typepos": emb.typepos}}
+    for kind in ("params", "flops"):
+        doc[kind] = {
+            part: getattr(breakdown, f"{part}_{kind}")
+            for part in ("embedding", "encoder", "pooler", "total")
         }
-        if note:
-            doc["note"] = note
+    doc["dominance"] = {
+        "encoder_param_ratio": dominance.encoder_param_ratio,
+        "encoder_flop_ratio": dominance.encoder_flop_ratio,
+    }
+    note = _cost_note(arch, emb)
+    if note:
+        doc["note"] = note
+    if args.format == "json":
         _emit(json.dumps(doc, indent=2), args)
-    else:
-        lines = [
-            f"architecture: depth={arch.depth} heads={arch.heads}"
-            f" hidden={arch.hidden} intermediate={arch.intermediate}",
-            f"embedding-config: vocab={emb.vocab} typepos={emb.typepos}",
-            "params:",
-            f"  embedding  {breakdown.embedding_params}",
-            f"  encoder    {breakdown.encoder_params}",
-            f"  pooler     {breakdown.pooler_params}",
-            f"  total      {breakdown.total_params}",
-            "flops:",
-            f"  embedding  {breakdown.embedding_flops}",
-            f"  encoder    {breakdown.encoder_flops}",
-            f"  pooler     {breakdown.pooler_flops}",
-            f"  total      {breakdown.total_flops}",
-            "dominance (encoder / embedding+pooler):"
-            f" params={dominance.encoder_param_ratio!r}"
-            f" flops={dominance.encoder_flop_ratio!r}",
-        ]
-        if note:
-            lines.append(f"note: {note}")
-        _emit("\n".join(lines), args)
+        return 0
+    lines = [
+        f"architecture: depth={arch.depth} heads={arch.heads}"
+        f" hidden={arch.hidden} intermediate={arch.intermediate}",
+        f"embedding-config: vocab={emb.vocab} typepos={emb.typepos}",
+    ]
+    for kind in ("params", "flops"):
+        lines.append(f"{kind}:")
+        lines += [f"  {part:<10} {value}" for part, value in doc[kind].items()]
+    lines.append(
+        "dominance (encoder / embedding+pooler):"
+        f" params={dominance.encoder_param_ratio!r} flops={dominance.encoder_flop_ratio!r}"
+    )
+    if note:
+        lines.append(f"note: {note}")
+    _emit("\n".join(lines), args)
     return 0
 
 
@@ -214,10 +208,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             raise DataError(f"cannot read measurements file {args.measurements}: {exc}") from exc
         measurements = ingest_measurements(text, emb)
         maxpoint = maxpoint_from_measurements(maxpoint_arch, measurements)
-    elif mode == ANALYTIC:
-        maxpoint = analytic_maxpoint(maxpoint_arch, emb)
     else:
-        raise ConfigError(f"metric_mode must be 'analytic' or 'ingested' (got {mode!r})")
+        maxpoint = analytic_maxpoint(maxpoint_arch, emb)
 
     run_config = SearchConfig(
         space=space,
@@ -258,10 +250,7 @@ def _read_tokens(path: str, seq: int) -> np.ndarray:
 
 def _cmd_toy_forward(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    raw_arch = args.arch if args.arch is not None else settings.get("arch")
-    if raw_arch is None:
-        raise ConfigError("toy-forward needs an architecture: pass --arch D,A,H,I or set 'arch'")
-    arch = config_mod.parse_arch(raw_arch)
+    arch = _arch_from(args, settings)
     emb = config_mod.embedding_from(settings)
     seed = args.seed if args.seed is not None else settings["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool):

@@ -160,13 +160,7 @@ def space_from(settings: dict) -> SearchSpace:
 
 
 def embedding_from(settings: dict) -> EmbeddingConfig:
-    values = {}
-    for key in ("vocab", "typepos", "seq", "batch"):
-        value = settings[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"config key '{key}' must be an integer (got {value!r})")
-        values[key] = value
-    return EmbeddingConfig(**values)
+    return EmbeddingConfig(**{key: settings[key] for key in ("vocab", "typepos", "seq", "batch")})
 
 
 def error_model_from(settings: dict) -> ErrorModel:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import ConfigError, DataError
@@ -26,7 +27,14 @@ from .metrics import (
     MetricTriple,
     analytic_metrics,
 )
-from .space import ArchParams, EmbeddingConfig, SearchSpace, enumerate_space, stride_subsample
+from .space import (
+    ArchParams,
+    EmbeddingConfig,
+    SearchSpace,
+    enumerate_space,
+    positive_int,
+    stride_subsample,
+)
 
 ANALYTIC = "analytic"
 INGESTED = "ingested"
@@ -83,18 +91,23 @@ class SearchConfig:
     n_steps: int = 3
 
     def __post_init__(self) -> None:
-        if not isinstance(self.epsilon, int) or isinstance(self.epsilon, bool) or self.epsilon < 1:
-            raise ConfigError(f"epsilon must be an integer >= 1 (got {self.epsilon!r})")
         if self.metric_mode not in METRIC_MODES:
             raise ConfigError(
                 f"metric_mode must be one of {METRIC_MODES} (got {self.metric_mode!r})"
             )
-        if self.top_k is not None and (not isinstance(self.top_k, int) or self.top_k < 1):
-            raise ConfigError(f"top_k must be a positive integer or None (got {self.top_k!r})")
-        if not isinstance(self.n_steps, int) or self.n_steps < 1:
-            raise ConfigError(f"n_steps must be a positive integer (got {self.n_steps!r})")
+        if self.top_k is not None:
+            positive_int(self.top_k, "top_k")
+        positive_int(self.n_steps, "n_steps")
         if self.metric_mode == ANALYTIC and self.error_model is None:
             raise ConfigError("analytic mode requires an error model")
+
+    @cached_property
+    def candidates(self) -> list[ArchParams]:
+        """The valid architectures of the strided space, ascending; enumerated once per config.
+
+        stride_subsample rejects an invalid epsilon here, on first use.
+        """
+        return enumerate_space(stride_subsample(self.space, self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -136,7 +149,7 @@ def rank_candidates(
     top_k slice applies after ranking. Candidates exceeding the maximum point
     are collected separately, in architecture order.
     """
-    candidates = enumerate_space(stride_subsample(config.space, config.epsilon))
+    candidates = config.candidates
     scored: list[tuple[float, ArchParams, MetricTriple]] = []
     excluded: list[ExcludedCandidate] = []
     for arch in candidates:
@@ -159,7 +172,7 @@ def rank_candidates(
     shown = ranked if config.top_k is None else ranked[: config.top_k]
     return RankingResult(
         ranked=shown,
-        excluded=tuple(sorted(excluded, key=lambda e: e.arch)),
+        excluded=tuple(excluded),
         total_ranked=len(ranked),
         candidates_evaluated=len(candidates),
     )
@@ -197,9 +210,8 @@ def run_extraction(
     """
     if config.metric_mode == ANALYTIC:
         provider = config.error_model.provider(config.emb)
-        candidates = enumerate_space(stride_subsample(config.space, config.epsilon))
         metric_map: Mapping[ArchParams, MetricTriple] = {
-            arch: analytic_metrics(arch, config.emb, provider) for arch in candidates
+            arch: analytic_metrics(arch, config.emb, provider) for arch in config.candidates
         }
         error_source = config.error_model.describe()
     else:
@@ -237,15 +249,15 @@ def run_extraction(
     return ExtractionReport(header=header, result=result)
 
 
-def _row_dict(arch: ArchParams, triple: MetricTriple, w: float, flags: frozenset[str]) -> dict:
+def _row_dict(row: CandidateReport | ExcludedCandidate) -> dict:
     return {
-        "arch": list(arch.as_tuple()),
-        "param_size": triple.param_size,
-        "latency": triple.latency,
-        "latency_unit": triple.latency_unit,
-        "error": triple.error,
-        "w_coefficient": w,
-        "flags": sorted(flags),
+        "arch": list(row.arch.as_tuple()),
+        "param_size": row.metrics.param_size,
+        "latency": row.metrics.latency,
+        "latency_unit": row.metrics.latency_unit,
+        "error": row.metrics.error,
+        "w_coefficient": row.w_coefficient,
+        "flags": sorted(row.flags),
     }
 
 
@@ -253,14 +265,8 @@ def render_json(report: ExtractionReport) -> str:
     """Machine-readable rendering; byte-deterministic for identical reports."""
     doc = {
         "header": report.header,
-        "ranking": [
-            {"rank": row.rank, **_row_dict(row.arch, row.metrics, row.w_coefficient, row.flags)}
-            for row in report.result.ranked
-        ],
-        "excluded": [
-            _row_dict(row.arch, row.metrics, row.w_coefficient, row.flags)
-            for row in report.result.excluded
-        ],
+        "ranking": [{"rank": row.rank, **_row_dict(row)} for row in report.result.ranked],
+        "excluded": [_row_dict(row) for row in report.result.excluded],
     }
     return json.dumps(doc, indent=2)
 
@@ -277,17 +283,23 @@ _TEXT_COLUMNS = (
 )
 
 
-def _text_row(rank: object, arch: ArchParams, triple: MetricTriple, w: float, flags) -> list[str]:
+def _text_row(row: CandidateReport | ExcludedCandidate) -> list[str]:
+    """The cells of every column but rank."""
     return [
-        _format_cell(rank),
-        *(str(v) for v in arch.as_tuple()),
-        _format_cell(triple.param_size),
-        _format_cell(triple.latency),
-        triple.latency_unit,
-        _format_cell(triple.error),
-        _format_cell(w),
-        ",".join(sorted(flags)) if flags else "-",
+        *(str(v) for v in row.arch.as_tuple()),
+        _format_cell(row.metrics.param_size),
+        _format_cell(row.metrics.latency),
+        row.metrics.latency_unit,
+        _format_cell(row.metrics.error),
+        _format_cell(row.w_coefficient),
+        ",".join(sorted(row.flags)) if row.flags else "-",
     ]
+
+
+def _aligned(rows: list[list[str]]) -> list[str]:
+    """Right-align each column to its widest cell, two spaces apart."""
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
 def render_text(report: ExtractionReport) -> str:
@@ -310,21 +322,13 @@ def render_text(report: ExtractionReport) -> str:
         "# embedding: vocab={vocab} typepos={typepos} seq={seq} batch={batch}".format(**emb)
     )
 
-    rows = [list(_TEXT_COLUMNS)]
-    for row in report.result.ranked:
-        rows.append(_text_row(row.rank, row.arch, row.metrics, row.w_coefficient, row.flags))
-    widths = [max(len(r[col]) for r in rows) for col in range(len(_TEXT_COLUMNS))]
-    for r in rows:
-        lines.append("  ".join(cell.rjust(width) for cell, width in zip(r, widths)).rstrip())
-
+    lines += _aligned(
+        [list(_TEXT_COLUMNS)]
+        + [[str(row.rank), *_text_row(row)] for row in report.result.ranked]
+    )
     lines.append(f"# excluded by maximum-point rule: {len(report.result.excluded)}")
     if report.result.excluded:
-        ex_rows = [list(_TEXT_COLUMNS[1:])]
-        for row in report.result.excluded:
-            ex_rows.append(
-                _text_row("", row.arch, row.metrics, row.w_coefficient, row.flags)[1:]
-            )
-        widths = [max(len(r[col]) for r in ex_rows) for col in range(len(ex_rows[0]))]
-        for r in ex_rows:
-            lines.append("  ".join(cell.rjust(width) for cell, width in zip(r, widths)).rstrip())
+        lines += _aligned(
+            [list(_TEXT_COLUMNS[1:])] + [_text_row(row) for row in report.result.excluded]
+        )
     return "\n".join(lines)

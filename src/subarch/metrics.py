@@ -11,12 +11,13 @@ it. Latency values carry a unit tag and units are never mixed within a run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .costs import flop_count, param_count
 from .errors import ConfigError, DataError
-from .space import ArchParams, EmbeddingConfig, require_valid, validate
+from .space import ArchParams, EmbeddingConfig, positive_int, require_valid, validate
 
 SECONDS_PER_SAMPLE = "seconds_per_sample"
 FLOPS = "flops"
@@ -25,6 +26,12 @@ LATENCY_UNITS = (SECONDS_PER_SAMPLE, FLOPS)
 _RECORD_KEYS = ("arch", "latency_s", "error", "trials")
 
 ErrorProvider = Callable[[ArchParams], float]
+
+
+def finite_positive(value: float, what: str, exc: type[Exception] = ValueError) -> None:
+    """Raise exc naming `what` unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise exc(f"{what} must be finite and positive (got {value})")
 
 
 @dataclass(frozen=True)
@@ -37,12 +44,10 @@ class MetricTriple:
     latency_unit: str = FLOPS
 
     def __post_init__(self) -> None:
-        if self.param_size < 0:
+        if not self.param_size >= 0:
             raise ValueError(f"param_size must be non-negative (got {self.param_size})")
-        if not self.latency > 0:
-            raise ValueError(f"latency must be positive (got {self.latency})")
-        if not self.error > 0:
-            raise ValueError(f"error must be positive (got {self.error})")
+        finite_positive(self.latency, "latency")
+        finite_positive(self.error, "error")
         if self.latency_unit not in LATENCY_UNITS:
             raise ValueError(
                 f"latency_unit must be one of {LATENCY_UNITS} (got {self.latency_unit!r})"
@@ -73,17 +78,11 @@ class MeasurementRecord:
     latency: float
     error: float
     trials: int
-    latency_unit: str = SECONDS_PER_SAMPLE
 
     def __post_init__(self) -> None:
-        if not self.latency > 0:
-            raise ValueError(f"latency must be positive (got {self.latency})")
-        if not self.error > 0:
-            raise ValueError(f"error must be positive (got {self.error})")
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer (got {self.trials!r})")
-        if self.latency_unit not in LATENCY_UNITS:
-            raise ValueError(f"unknown latency unit {self.latency_unit!r}")
+        finite_positive(self.latency, "latency")
+        finite_positive(self.error, "error")
+        positive_int(self.trials, "trials")
 
 
 def _record_from_obj(obj: object, lineno: int) -> MeasurementRecord:
@@ -119,7 +118,7 @@ def _record_from_obj(obj: object, lineno: int) -> MeasurementRecord:
             error=float(obj["error"]),
             trials=obj["trials"],
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise DataError(f"measurement line {lineno}: {exc}") from exc
 
 
@@ -171,7 +170,7 @@ def build_metric_map(
             param_size=param_count(rec.arch, emb),
             latency=rec.latency,
             error=rec.error,
-            latency_unit=rec.latency_unit,
+            latency_unit=SECONDS_PER_SAMPLE,
         )
     return out
 
@@ -186,18 +185,19 @@ def ingest_measurements(
 def analytic_metrics(
     arch: ArchParams, emb: EmbeddingConfig, error_provider: ErrorProvider
 ) -> MetricTriple:
-    """Closed-form parameter and FLOP surrogates, plus the provider's error value."""
-    require_valid(arch)
+    """Closed-form parameter and FLOP surrogates, plus the provider's error value.
+
+    param_count runs first: it raises ConfigError for an invalid architecture
+    before the provider is consulted.
+    """
+    param_size = param_count(arch, emb)
     try:
         error = error_provider(arch)
     except Exception as exc:
         raise DataError(f"error provider failed for architecture {arch}: {exc}") from exc
-    if not error > 0:
-        raise DataError(
-            f"surrogate error must be positive for architecture {arch} (got {error})"
-        )
+    finite_positive(error, f"surrogate error for architecture {arch}", DataError)
     return MetricTriple(
-        param_size=param_count(arch, emb),
+        param_size=param_size,
         latency=flop_count(arch),
         error=error,
         latency_unit=FLOPS,
@@ -206,11 +206,7 @@ def analytic_metrics(
 
 def synthetic_error(arch: ArchParams, emb: EmbeddingConfig, c0: float, c1: float) -> float:
     """Test-only error surrogate c0 + c1 / param_count: positive, shrinking with capacity."""
-    if not c0 > 0:
-        raise ConfigError(f"c0 must be positive (got {c0})")
-    if c1 < 0:
-        raise ConfigError(f"c1 must be non-negative (got {c1})")
-    return c0 + c1 / param_count(arch, emb)
+    return SyntheticErrorModel(c0, c1).provider(emb)(arch)
 
 
 @dataclass(frozen=True)
@@ -220,8 +216,7 @@ class ConstantErrorModel:
     value: float
 
     def __post_init__(self) -> None:
-        if not self.value > 0:
-            raise ConfigError(f"constant error value must be positive (got {self.value})")
+        finite_positive(self.value, "constant error value", ConfigError)
 
     def provider(self, emb: EmbeddingConfig) -> ErrorProvider:
         return lambda arch: self.value
@@ -238,13 +233,12 @@ class SyntheticErrorModel:
     c1: float
 
     def __post_init__(self) -> None:
-        if not self.c0 > 0:
-            raise ConfigError(f"c0 must be positive (got {self.c0})")
-        if self.c1 < 0:
-            raise ConfigError(f"c1 must be non-negative (got {self.c1})")
+        finite_positive(self.c0, "c0", ConfigError)
+        if not (math.isfinite(self.c1) and self.c1 >= 0):
+            raise ConfigError(f"c1 must be finite and non-negative (got {self.c1})")
 
     def provider(self, emb: EmbeddingConfig) -> ErrorProvider:
-        return lambda arch: synthetic_error(arch, emb, self.c0, self.c1)
+        return lambda arch: self.c0 + self.c1 / param_count(arch, emb)
 
     def describe(self) -> str:
         return f"synthetic(c0={self.c0:g}, c1={self.c1:g})"

@@ -10,6 +10,13 @@ from .errors import ConfigError
 _AXIS_NAMES = ("depths", "heads", "hiddens", "intermediates")
 
 
+def positive_int(value, what: str) -> int:
+    """Return value when it is an int >= 1 and not a bool; otherwise raise ConfigError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{what} must be a positive integer (got {value!r})")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class ArchParams:
     """One member of the encoder family: depth, attention heads, hidden and intermediate size.
@@ -77,10 +84,8 @@ class SearchSpace:
             axis = tuple(getattr(self, name))
             if not axis:
                 raise ConfigError(f"search-space axis '{name}' is empty")
-            if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in axis):
-                raise ConfigError(
-                    f"search-space axis '{name}' must contain positive integers: {axis}"
-                )
+            for value in axis:
+                positive_int(value, f"search-space axis '{name}' value")
             if len(set(axis)) != len(axis):
                 raise ConfigError(f"search-space axis '{name}' contains duplicates: {axis}")
             object.__setattr__(self, name, tuple(sorted(axis)))
@@ -111,9 +116,7 @@ class EmbeddingConfig:
 
     def __post_init__(self) -> None:
         for name in ("vocab", "typepos", "seq", "batch"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer (got {value!r})")
+            positive_int(getattr(self, name), name)
 
 
 def enumerate_space(space: SearchSpace) -> list[ArchParams]:
@@ -137,9 +140,7 @@ def stride_subsample(space: SearchSpace, epsilon: int) -> SearchSpace:
     epsilon=1 is the identity; a stride at least as long as an axis leaves
     only that axis's first element.
     """
-    if not isinstance(epsilon, int) or isinstance(epsilon, bool) or epsilon < 1:
-        raise ConfigError(f"epsilon must be an integer >= 1 (got {epsilon!r})")
-    if epsilon == 1:
+    if positive_int(epsilon, "epsilon") == 1:
         return space
     return SearchSpace(
         space.depths[::epsilon],

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import TYPE_TABLE_ROWS
 from .errors import ConfigError, DataError
 from .space import ArchParams, EmbeddingConfig, require_valid
 
 GELU_CUBIC = 0.44715
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
-
-# Keeps the instantiated weight-element total equal to the closed-form
-# parameter count; see costs.TYPE_TABLE_ROWS for the accounting.
-_TYPE_ROWS = 3
 
 
 def gelu(x):
@@ -150,7 +147,7 @@ class ToyNet:
         hidden, inter = config.arch.hidden, config.arch.intermediate
         add("embedding.token_table", config.emb.vocab, hidden)
         add("embedding.position_table", config.emb.typepos, hidden)
-        add("embedding.type_table", _TYPE_ROWS, hidden)
+        add("embedding.type_table", TYPE_TABLE_ROWS, hidden)
         add("embedding.norm.scale", hidden)
         add("embedding.norm.shift", hidden)
         for layer in range(config.arch.depth):

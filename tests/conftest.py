@@ -1,8 +1,15 @@
 """Shared constants and helpers for the test suite."""
 
 import json
+import os
+from pathlib import Path
 
 from subarch.space import ArchParams, EmbeddingConfig, SearchSpace
+
+# Tests that start `python -m subarch` as a child process need it to import
+# this source tree too, also when pytest alone put src/ on sys.path.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # The demo grid: 360 points, 300 of them valid.
 GRID_AXES = {

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,31 @@ class TestCost:
         assert code == 0
         assert "total      355361792" in out
 
+    def test_text_golden_with_note(self, capsys):
+        code, out, _ = run_cli(capsys, "cost", "--arch", "4,8,1024,768")
+        assert code == 0
+        assert out == (
+            "architecture: depth=4 heads=8 hidden=1024 intermediate=768\n"
+            "embedding-config: vocab=50265 typepos=514\n"
+            "params:\n"
+            "  embedding  52003840\n"
+            "  encoder    23108608\n"
+            "  pooler     1048576\n"
+            "  total      76161024\n"
+            "flops:\n"
+            "  embedding  3072\n"
+            "  encoder    60535808\n"
+            "  pooler     2096128\n"
+            "  total      62635008\n"
+            "dominance (encoder / embedding+pooler):"
+            " params=0.43558069061359994 flops=28.837560975609755\n"
+            "note: closed-form count for <4,8,1024,768> with vocab=50265, typepos=514 is"
+            " 76,161,024 parameters (embedding component 52,003,840); the size reported"
+            " elsewhere for this architecture is 56.14M with a 39M embedding block."
+            " The closed form is kept as normative (it reproduces the 355M reference"
+            " architecture exactly); the discrepancy is surfaced rather than reconciled.\n"
+        )
+
 
 class TestRank:
     def test_analytic_rank_one_has_largest_w(self, tmp_path, capsys):
@@ -198,6 +224,56 @@ class TestRank:
         doc = json.loads(out)
         assert doc["header"]["error_provider"] == "synthetic(c0=0.05, c1=3e+07)"
         assert all(row["error"] > 0.05 for row in doc["ranking"])
+
+    def test_bool_top_k_and_n_steps_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **GRID)
+        for key in ("top_k", "n_steps"):
+            code, out, err = run_cli(capsys, "rank", "--config", cfg, "--set", f"{key}=true")
+            assert code == 2
+            assert key in err
+            assert out == ""
+
+    def test_infinite_record_latency_exits_3(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            depths=[4], heads=[8, 16], hiddens=[1024], intermediates=[512, 768], epsilon=1,
+        )
+        path = tmp_path / "m.ndjson"
+        path.write_text(
+            Path(self._measurements(tmp_path, True)).read_text().replace("6.170", "Infinity")
+        )
+        code, out, err = run_cli(
+            capsys, "rank", "--config", cfg, "--measurements", str(path), "--format", "json"
+        )
+        assert code == 3
+        assert "line 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["error.value=Infinity"],
+            ["error.mode=synthetic", "error.c0=0.1", "error.c1=Infinity"],
+            ["error.mode=synthetic", "error.c0=Infinity", "error.c1=1"],
+        ],
+    )
+    def test_infinite_error_settings_exit_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "c.json", **GRID)
+        argv = ["rank", "--config", cfg]
+        for pair in overrides:
+            argv += ["--set", pair]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "finite" in err
+        assert out == ""
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **GRID)
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run_cli(capsys, "rank", "--config", cfg, "--output", str(target))
+        assert code == 2
+        assert "cannot write output file" in err
+        assert out == ""
 
 
 class TestToyForward:

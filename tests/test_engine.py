@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BORT, ROBERTA_EMB, ROBERTA_LARGE, grid_space
+from subarch import engine
 from subarch.engine import (
     ANALYTIC,
     EXCEEDS_LATENCY,
@@ -25,7 +26,7 @@ from subarch.metrics import (
     MetricTriple,
     analytic_maxpoint,
 )
-from subarch.space import ArchParams, SearchSpace
+from subarch.space import ArchParams, SearchSpace, enumerate_space
 
 
 def make_maxpoint(param_size=100.0, latency=10.0, unit=FLOPS):
@@ -252,6 +253,51 @@ class TestRunExtraction:
         assert "rank" in text and "w_coefficient" in text and "flags" in text
         assert "excluded by maximum-point rule: 1" in text
         assert EXCEEDS_PARAMS in text
+
+    def test_render_text_golden(self):
+        table = {
+            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0, FLOPS),
+            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0, FLOPS),
+            ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 0.5, FLOPS),
+        }
+        report = run_extraction(tiny_config(make_maxpoint()), table)
+        assert render_text(report) == "\n".join([
+            "# optimal-subarchitecture ranking",
+            "# metric_mode: ingested",
+            "# latency_unit: flops",
+            "# epsilon: 1",
+            "# n_steps: 3",
+            "# error_provider: ingested measurement records",
+            "# surrogate_note: surrogates: param_size is the closed-form parameter count;"
+            " latency is measured seconds per sample; error comes from ingested measurement"
+            " records, a stand-in, not a trained-model error signal",
+            "# top_k: None",
+            "# candidates_evaluated: 3",
+            "# candidates_ranked: 2",
+            "# candidates_excluded: 1",
+            "# maxpoint: arch=<24,16,1024,4096> param_size=100.0 latency=10.0",
+            "# embedding: vocab=50265 typepos=514 seq=512 batch=1024",
+            "rank  depth  heads  hidden  inter  param_size  latency   unit  error  w_coefficient  flags",
+            "   1      2      8       8      4          40        5  flops    0.5            0.6      -",
+            "   2      2      2       8      4          50        5  flops    1.0           0.25      -",
+            "# excluded by maximum-point rule: 1",
+            "depth  heads  hidden  inter  param_size  latency   unit  error  w_coefficient"
+            "                    flags",
+            "    2      4       8      4         150        5  flops    1.0          -0.25"
+            "  exceeds_maxpoint_params",
+        ])
+
+    def test_enumerates_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(space):
+            calls.append(space)
+            return enumerate_space(space)
+
+        monkeypatch.setattr(engine, "enumerate_space", counting)
+        report = run_extraction(self.grid_config(epsilon=2))
+        assert len(calls) == 1
+        assert report.header["candidates_evaluated"] == 18
 
 
 positive = st.floats(0.5, 1e6, allow_nan=False, allow_infinity=False)

@@ -42,6 +42,14 @@ class TestMetricTriple:
         with pytest.raises(ValueError, match="latency_unit"):
             MetricTriple(1.0, 1.0, 1.0, "minutes")
 
+    @pytest.mark.parametrize(
+        "values",
+        [(float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0), (1.0, 1.0, float("inf"))],
+    )
+    def test_non_finite_rejected(self, values):
+        with pytest.raises(ValueError):
+            MetricTriple(*values)
+
 
 class TestAnalyticMetrics:
     def test_bort_with_constant_error(self):
@@ -135,6 +143,23 @@ class TestIngest:
 
     def test_non_positive_latency_rejected(self):
         line = '{"arch": [4, 8, 1024, 768], "latency_s": 0.0, "error": 0.5, "trials": 1}'
+        with pytest.raises(DataError, match="line 1"):
+            parse_measurements(line)
+
+    @pytest.mark.parametrize(
+        "field, raw",
+        [
+            ("latency_s", "Infinity"),
+            ("latency_s", "1e999"),
+            ("latency_s", "1" + "0" * 400),
+            ("error", "Infinity"),
+            ("trials", "true"),
+        ],
+    )
+    def test_non_finite_or_non_integer_values_rejected(self, field, raw):
+        obj = {"arch": [4, 8, 1024, 768], "latency_s": 0.1, "error": 0.5, "trials": 1}
+        line = json.dumps(obj).replace(f'"{field}": {json.dumps(obj[field])}', f'"{field}": {raw}')
+        assert raw in line
         with pytest.raises(DataError, match="line 1"):
             parse_measurements(line)
 
