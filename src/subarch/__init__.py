@@ -23,7 +23,6 @@ from .costs import (
 )
 from .engine import (
     CandidateReport,
-    ExcludedCandidate,
     ExtractionReport,
     SearchConfig,
     exceed_flags,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import selfcheck
-from .costs import cost_breakdown, dominance_report
+from .costs import dominance_report
 from .engine import (
     ANALYTIC,
     INGESTED,
@@ -25,7 +25,12 @@ from .engine import (
     run_extraction,
 )
 from .errors import ConfigError, DataError, VerificationError
-from .metrics import analytic_maxpoint, ingest_measurements, maxpoint_from_measurements
+from .metrics import (
+    analytic_maxpoint,
+    finite_number,
+    ingest_measurements,
+    maxpoint_from_measurements,
+)
 from .space import ArchParams, enumerate_space, stride_subsample
 from .toynet import ToyNet, ToyNetConfig, count_instantiated_params, forward_with_stats
 
@@ -151,12 +156,11 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     settings = _settings(args)
     arch = _arch_from(args, settings)
     emb = config_mod.embedding_from(settings)
-    breakdown = cost_breakdown(arch, emb)
     dominance = dominance_report(arch, emb)
     doc = {"arch": list(arch.as_tuple()), "embedding": {"vocab": emb.vocab, "typepos": emb.typepos}}
     for kind in ("params", "flops"):
         doc[kind] = {
-            part: getattr(breakdown, f"{part}_{kind}")
+            part: getattr(dominance.breakdown, f"{part}_{kind}")
             for part in ("embedding", "encoder", "pooler", "total")
         }
     doc["dominance"] = {
@@ -245,7 +249,10 @@ def _read_tokens(path: str, seq: int) -> np.ndarray:
             f"token file holds {len(values)} ids, which is not a positive multiple"
             f" of the sequence length {seq}"
         )
-    return np.array(values, dtype=np.int64).reshape(-1, seq)
+    try:
+        return np.array(values, dtype=np.int64).reshape(-1, seq)
+    except OverflowError as exc:
+        raise DataError(f"token file {path}: a token id does not fit in int64: {exc}") from exc
 
 
 def _cmd_toy_forward(args: argparse.Namespace) -> int:
@@ -258,8 +265,8 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     net_config = ToyNetConfig(
         arch=arch,
         emb=emb,
-        dropout=float(settings["dropout"]),
-        layernorm_eps=float(settings["layernorm_eps"]),
+        dropout=finite_number(settings["dropout"], "dropout"),
+        layernorm_eps=finite_number(settings["layernorm_eps"], "layernorm_eps"),
         seed=seed,
     )
     tokens = _read_tokens(args.tokens, emb.seq)

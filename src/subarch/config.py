@@ -31,11 +31,12 @@ Command-line flags override file values, which override the defaults below.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
-from .metrics import ConstantErrorModel, ErrorModel, SyntheticErrorModel
+from .metrics import ConstantErrorModel, ErrorModel, SyntheticErrorModel, finite_number
 from .space import ArchParams, EmbeddingConfig, SearchSpace
 
 DEFAULTS: dict = {
@@ -54,7 +55,7 @@ DEFAULTS: dict = {
     "layernorm_eps": 1e-5,
 }
 
-_AXIS_KEYS = ("depths", "heads", "hiddens", "intermediates")
+_AXIS_KEYS = tuple(f.name for f in fields(SearchSpace))
 KNOWN_KEYS = frozenset(DEFAULTS) | frozenset(_AXIS_KEYS) | {"arch"}
 
 _ERROR_KEYS = {"constant": {"mode", "value"}, "synthetic": {"mode", "c0", "c1"}}
@@ -160,7 +161,7 @@ def space_from(settings: dict) -> SearchSpace:
 
 
 def embedding_from(settings: dict) -> EmbeddingConfig:
-    return EmbeddingConfig(**{key: settings[key] for key in ("vocab", "typepos", "seq", "batch")})
+    return EmbeddingConfig(**{f.name: settings[f.name] for f in fields(EmbeddingConfig)})
 
 
 def error_model_from(settings: dict) -> ErrorModel:
@@ -179,5 +180,7 @@ def error_model_from(settings: dict) -> ErrorModel:
             f" (missing {missing}, unknown {unknown})"
         )
     if mode == "constant":
-        return ConstantErrorModel(value=float(obj["value"]))
-    return SyntheticErrorModel(c0=float(obj["c0"]), c1=float(obj["c1"]))
+        return ConstantErrorModel(value=finite_number(obj["value"], "error.value"))
+    return SyntheticErrorModel(
+        c0=finite_number(obj["c0"], "error.c0"), c1=finite_number(obj["c1"], "error.c1")
+    )

@@ -16,8 +16,9 @@ appendix) instead of being scored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Mapping
 
 from .errors import ConfigError, DataError
@@ -48,7 +49,8 @@ def w_coefficient(candidate: MetricTriple, maxpoint: MaxPoint) -> float:
     """Raw scalarizer value for one candidate; see the module docstring.
 
     This is the bare evaluation: callers apply the maximum-point exclusion
-    rule. Both latencies must carry the same unit tag.
+    rule. Both latencies must carry the same unit tag; MetricTriple already
+    guarantees a finite, positive error.
     """
     t = maxpoint.metrics
     if candidate.latency_unit != t.latency_unit:
@@ -56,8 +58,6 @@ def w_coefficient(candidate: MetricTriple, maxpoint: MaxPoint) -> float:
             f"latency unit mismatch: candidate is {candidate.latency_unit!r},"
             f" maximum point is {t.latency_unit!r}"
         )
-    if not candidate.error > 0:
-        raise ConfigError(f"candidate error must be positive (got {candidate.error})")
     return ((t.param_size - candidate.param_size) * (t.latency - candidate.latency)) / (
         t.param_size * t.latency * candidate.error
     )
@@ -112,29 +112,23 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class CandidateReport:
-    """One ranked row."""
+    """One report row: ranked, or excluded by the maximum-point rule.
+
+    An excluded row has rank None, its exceed flags set, and the raw,
+    unranked w_coefficient.
+    """
 
     arch: ArchParams
     metrics: MetricTriple
     w_coefficient: float
-    rank: int
+    rank: int | None
     flags: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class ExcludedCandidate:
-    """A candidate dropped by the maximum-point rule; w_coefficient is the raw value."""
-
-    arch: ArchParams
-    metrics: MetricTriple
-    w_coefficient: float
-    flags: frozenset[str]
 
 
 @dataclass(frozen=True)
 class RankingResult:
     ranked: tuple[CandidateReport, ...]
-    excluded: tuple[ExcludedCandidate, ...]
+    excluded: tuple[CandidateReport, ...]
     total_ranked: int
     candidates_evaluated: int
 
@@ -146,12 +140,13 @@ def rank_candidates(
 
     Sort order is w_coefficient descending with ties broken ascending on
     (depth, heads, hidden, intermediate); ranks are contiguous from 1. The
-    top_k slice applies after ranking. Candidates exceeding the maximum point
-    are collected separately, in architecture order.
+    top_k slice applies after ranking, and only the shown rows become
+    reports. Candidates exceeding the maximum point are collected separately,
+    in architecture order.
     """
     candidates = config.candidates
     scored: list[tuple[float, ArchParams, MetricTriple]] = []
-    excluded: list[ExcludedCandidate] = []
+    excluded: list[CandidateReport] = []
     for arch in candidates:
         triple = metrics.get(arch)
         if triple is None:
@@ -159,21 +154,20 @@ def rank_candidates(
         w = w_coefficient(triple, config.maxpoint)
         flags = exceed_flags(triple, config.maxpoint)
         if flags:
-            excluded.append(ExcludedCandidate(arch, triple, w, flags))
+            excluded.append(CandidateReport(arch, triple, w, None, flags))
         else:
             scored.append((w, arch, triple))
     if not scored:
         raise DataError("no candidates remain after maximum-point exclusion")
     scored.sort(key=lambda row: (-row[0], row[1]))
     ranked = tuple(
-        CandidateReport(arch=arch, metrics=triple, w_coefficient=w, rank=position)
-        for position, (w, arch, triple) in enumerate(scored, start=1)
+        CandidateReport(arch, triple, w, position)
+        for position, (w, arch, triple) in enumerate(islice(scored, config.top_k), start=1)
     )
-    shown = ranked if config.top_k is None else ranked[: config.top_k]
     return RankingResult(
-        ranked=shown,
+        ranked=ranked,
         excluded=tuple(excluded),
-        total_ranked=len(ranked),
+        total_ranked=len(scored),
         candidates_evaluated=len(candidates),
     )
 
@@ -233,12 +227,7 @@ def run_extraction(
             "param_size": t.metrics.param_size,
             "latency": t.metrics.latency,
         },
-        "embedding": {
-            "vocab": config.emb.vocab,
-            "typepos": config.emb.typepos,
-            "seq": config.emb.seq,
-            "batch": config.emb.batch,
-        },
+        "embedding": asdict(config.emb),
         "error_provider": error_source,
         "surrogate_note": _surrogate_note(config, error_source),
         "top_k": config.top_k,
@@ -249,7 +238,7 @@ def run_extraction(
     return ExtractionReport(header=header, result=result)
 
 
-def _row_dict(row: CandidateReport | ExcludedCandidate) -> dict:
+def _row_dict(row: CandidateReport) -> dict:
     return {
         "arch": list(row.arch.as_tuple()),
         "param_size": row.metrics.param_size,
@@ -283,17 +272,10 @@ _TEXT_COLUMNS = (
 )
 
 
-def _text_row(row: CandidateReport | ExcludedCandidate) -> list[str]:
-    """The cells of every column but rank."""
-    return [
-        *(str(v) for v in row.arch.as_tuple()),
-        _format_cell(row.metrics.param_size),
-        _format_cell(row.metrics.latency),
-        row.metrics.latency_unit,
-        _format_cell(row.metrics.error),
-        _format_cell(row.w_coefficient),
-        ",".join(sorted(row.flags)) if row.flags else "-",
-    ]
+def _text_row(row: CandidateReport) -> list[str]:
+    """The cells of every column but rank, in _row_dict's order."""
+    arch, *values, flags = _row_dict(row).values()
+    return [*map(str, arch), *map(_format_cell, values), ",".join(flags) or "-"]
 
 
 def _aligned(rows: list[list[str]]) -> list[str]:
@@ -304,23 +286,16 @@ def _aligned(rows: list[list[str]]) -> list[str]:
 
 def render_text(report: ExtractionReport) -> str:
     """Human-readable rendering: provenance lines, then aligned columns."""
-    lines = [f"# {report.header['report']}"]
-    for key in (
-        "metric_mode", "latency_unit", "epsilon", "n_steps", "error_provider",
-        "surrogate_note", "top_k", "candidates_evaluated", "candidates_ranked",
-        "candidates_excluded",
-    ):
-        lines.append(f"# {key}: {report.header[key]}")
-    mp = report.header["maxpoint"]
+    header = dict(report.header)
+    lines = [f"# {header.pop('report')}"]
+    lines += [f"# {key}: {value}" for key, value in header.items() if not isinstance(value, dict)]
+    mp = header["maxpoint"]
     lines.append(
         "# maxpoint: arch=<{},{},{},{}> param_size={} latency={}".format(
             *mp["arch"], _format_cell(mp["param_size"]), _format_cell(mp["latency"])
         )
     )
-    emb = report.header["embedding"]
-    lines.append(
-        "# embedding: vocab={vocab} typepos={typepos} seq={seq} batch={batch}".format(**emb)
-    )
+    lines.append("# embedding: " + " ".join(f"{k}={v}" for k, v in header["embedding"].items()))
 
     lines += _aligned(
         [list(_TEXT_COLUMNS)]

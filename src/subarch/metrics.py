@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 
 from .costs import flop_count, param_count
 from .errors import ConfigError, DataError
-from .space import ArchParams, EmbeddingConfig, positive_int, require_valid, validate
+from .space import ArchParams, EmbeddingConfig, positive_int, require_valid
 
 SECONDS_PER_SAMPLE = "seconds_per_sample"
 FLOPS = "flops"
@@ -32,6 +32,18 @@ def finite_positive(value: float, what: str, exc: type[Exception] = ValueError) 
     """Raise exc naming `what` unless value is finite and > 0."""
     if not (math.isfinite(value) and value > 0):
         raise exc(f"{what} must be finite and positive (got {value})")
+
+
+def finite_number(value, what: str) -> float:
+    """value as a float when it is a finite int or float (not a bool); else ConfigError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            result = float(value)
+        except OverflowError:  # an int beyond the float range
+            result = math.inf
+        if math.isfinite(result):
+            return result
+    raise ConfigError(f"{what} must be a finite number (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,7 @@ class MeasurementRecord:
     trials: int
 
     def __post_init__(self) -> None:
+        require_valid(self.arch)
         finite_positive(self.latency, "latency")
         finite_positive(self.error, "error")
         positive_int(self.trials, "trials")
@@ -102,42 +115,42 @@ def _record_from_obj(obj: object, lineno: int) -> MeasurementRecord:
         or any(not isinstance(v, int) or isinstance(v, bool) for v in raw_arch)
     ):
         raise DataError(f"measurement line {lineno}: 'arch' must be a list of 4 integers")
-    arch = ArchParams(*raw_arch)
-    violations = validate(arch)
-    if violations:
-        raise DataError(
-            f"measurement line {lineno}: invalid architecture {arch}: " + "; ".join(violations)
-        )
-    for field in ("latency_s", "error"):
-        if not isinstance(obj[field], (int, float)) or isinstance(obj[field], bool):
-            raise DataError(f"measurement line {lineno}: '{field}' must be a number")
     try:
         return MeasurementRecord(
-            arch=arch,
-            latency=float(obj["latency_s"]),
-            error=float(obj["error"]),
+            arch=ArchParams(*raw_arch),
+            latency=finite_number(obj["latency_s"], "'latency_s'"),
+            error=finite_number(obj["error"], "'error'"),
             trials=obj["trials"],
         )
-    except (TypeError, ValueError, OverflowError, ConfigError) as exc:
+    except (ValueError, ConfigError) as exc:
         raise DataError(f"measurement line {lineno}: {exc}") from exc
 
 
 def parse_measurements(source: str | Iterable[str]) -> list[MeasurementRecord]:
     """Parse newline-delimited JSON records; blank lines are skipped.
 
-    Every diagnostic names the offending line number.
+    Every diagnostic names the offending line number; a second record for an
+    architecture also names the line of the first.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     records = []
+    first_line: dict[ArchParams, int] = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long for int(), not only bad syntax
             raise DataError(f"measurement line {lineno}: invalid JSON: {exc}") from exc
-        records.append(_record_from_obj(obj, lineno))
+        record = _record_from_obj(obj, lineno)
+        if record.arch in first_line:
+            raise DataError(
+                f"measurement line {lineno}: duplicate record for architecture {record.arch}"
+                f" (first on line {first_line[record.arch]})"
+            )
+        first_line[record.arch] = lineno
+        records.append(record)
     return records
 
 
@@ -161,11 +174,9 @@ def serialize_measurements(records: Iterable[MeasurementRecord]) -> str:
 def build_metric_map(
     records: Iterable[MeasurementRecord], emb: EmbeddingConfig
 ) -> dict[ArchParams, MetricTriple]:
-    """Key records by architecture, filling param_size from the closed-form count."""
+    """Key records, which name distinct architectures, filling in the closed-form param_size."""
     out: dict[ArchParams, MetricTriple] = {}
     for rec in records:
-        if rec.arch in out:
-            raise DataError(f"duplicate measurement record for architecture {rec.arch}")
         out[rec.arch] = MetricTriple(
             param_size=param_count(rec.arch, emb),
             latency=rec.latency,
@@ -249,7 +260,6 @@ ErrorModel = ConstantErrorModel | SyntheticErrorModel
 
 def analytic_maxpoint(arch: ArchParams, emb: EmbeddingConfig) -> MaxPoint:
     """Maximum point with closed-form parameter and FLOP metrics."""
-    require_valid(arch)
     # The error slot is unused for the maximum point; 1.0 is a placeholder.
     triple = MetricTriple(
         param_size=param_count(arch, emb),

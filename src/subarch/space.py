@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass, fields
 from itertools import product
 
 from .errors import ConfigError
-
-_AXIS_NAMES = ("depths", "heads", "hiddens", "intermediates")
 
 
 def positive_int(value, what: str) -> int:
@@ -80,7 +79,7 @@ class SearchSpace:
     intermediates: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in _AXIS_NAMES:
+        for name in (f.name for f in fields(self)):
             axis = tuple(getattr(self, name))
             if not axis:
                 raise ConfigError(f"search-space axis '{name}' is empty")
@@ -92,12 +91,7 @@ class SearchSpace:
 
     def size(self) -> int:
         """Number of grid points before validity filtering."""
-        return (
-            len(self.depths)
-            * len(self.heads)
-            * len(self.hiddens)
-            * len(self.intermediates)
-        )
+        return math.prod(map(len, astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -115,8 +109,8 @@ class EmbeddingConfig:
     batch: int = 1024
 
     def __post_init__(self) -> None:
-        for name in ("vocab", "typepos", "seq", "batch"):
-            positive_int(getattr(self, name), name)
+        for f in fields(self):
+            positive_int(getattr(self, f.name), f.name)
 
 
 def enumerate_space(space: SearchSpace) -> list[ArchParams]:
@@ -142,9 +136,4 @@ def stride_subsample(space: SearchSpace, epsilon: int) -> SearchSpace:
     """
     if positive_int(epsilon, "epsilon") == 1:
         return space
-    return SearchSpace(
-        space.depths[::epsilon],
-        space.heads[::epsilon],
-        space.hiddens[::epsilon],
-        space.intermediates[::epsilon],
-    )
+    return SearchSpace(*(axis[::epsilon] for axis in astuple(space)))

@@ -267,6 +267,28 @@ class TestRank:
         assert "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("raw", ["1" + "0" * 400, "true"], ids=["400_digits", "bool"])
+    def test_non_finite_or_bool_error_value_exits_2(self, tmp_path, capsys, raw):
+        cfg = write_config(tmp_path / "c.json", **GRID)
+        code, out, err = run_cli(capsys, "rank", "--config", cfg, "--set", f"error.value={raw}")
+        assert code == 2
+        assert "error.value must be a finite number" in err
+        assert out == ""
+
+    def test_oversized_integer_record_exits_3(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            depths=[4], heads=[8, 16], hiddens=[1024], intermediates=[512, 768], epsilon=1,
+        )
+        path = tmp_path / "m.ndjson"
+        path.write_text(
+            Path(self._measurements(tmp_path, True)).read_text().replace("0.318", "1" * 5000)
+        )
+        code, out, err = run_cli(capsys, "rank", "--config", cfg, "--measurements", str(path))
+        assert code == 3
+        assert "line 2" in err
+        assert out == ""
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", **GRID)
         target = tmp_path / "missing" / "x.txt"
@@ -305,6 +327,30 @@ class TestToyForward:
         )
         assert code == 3
         assert "out of range" in err
+
+    def test_token_id_beyond_int64_exits_3(self, tmp_path, capsys):
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("\n".join(["0"] * 7 + [str(2**63)]) + "\n")
+        code, out, err = run_cli(
+            capsys, "toy-forward", str(tokens), "--config", self._config(tmp_path)
+        )
+        assert code == 3
+        assert "int64" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "override", ["layernorm_eps=true", "layernorm_eps=Infinity", "dropout=true"]
+    )
+    def test_non_finite_or_bool_float_settings_exit_2(self, tmp_path, capsys, override):
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("\n".join(str(i) for i in range(16)) + "\n")
+        code, out, err = run_cli(
+            capsys, "toy-forward", str(tokens), "--config", self._config(tmp_path),
+            "--set", override,
+        )
+        assert code == 2
+        assert f"{override.partition('=')[0]} must be a finite number" in err
+        assert out == ""
 
     def test_wrong_token_count_exits_3(self, tmp_path, capsys):
         tokens = tmp_path / "tokens.txt"

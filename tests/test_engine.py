@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +288,52 @@ class TestRunExtraction:
             "    2      4       8      4         150        5  flops    1.0          -0.25"
             "  exceeds_maxpoint_params",
         ])
+
+    def test_render_json_golden(self):
+        table = {
+            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0, FLOPS),
+            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0, FLOPS),
+            ArchParams(2, 8, 8, 4): MetricTriple(40, 5.5, 0.5, FLOPS),
+        }
+
+        def row(arch, param_size, latency, error, w, flags=()):
+            return {
+                "arch": arch, "param_size": param_size, "latency": latency,
+                "latency_unit": "flops", "error": error, "w_coefficient": w,
+                "flags": list(flags),
+            }
+
+        def expected(top_k, ranking):
+            header = {
+                "report": "optimal-subarchitecture ranking",
+                "metric_mode": "ingested",
+                "latency_unit": "flops",
+                "epsilon": 1,
+                "n_steps": 3,
+                "maxpoint": {"arch": [24, 16, 1024, 4096], "param_size": 100.0, "latency": 10.0},
+                "embedding": {"vocab": 50265, "typepos": 514, "seq": 512, "batch": 1024},
+                "error_provider": "ingested measurement records",
+                "surrogate_note": "surrogates: param_size is the closed-form parameter count;"
+                " latency is measured seconds per sample; error comes from ingested measurement"
+                " records, a stand-in, not a trained-model error signal",
+                "top_k": top_k,
+                "candidates_evaluated": 3,
+                "candidates_ranked": 2,
+                "candidates_excluded": 1,
+            }
+            excluded = [row([2, 4, 8, 4], 150, 5, 1.0, -0.25, [EXCEEDS_PARAMS])]
+            return json.dumps(
+                {"header": header, "ranking": ranking, "excluded": excluded}, indent=2
+            )
+
+        ranking = [
+            {"rank": 1, **row([2, 8, 8, 4], 40, 5.5, 0.5, 0.54)},
+            {"rank": 2, **row([2, 2, 8, 4], 50, 5, 1.0, 0.25)},
+        ]
+        full = run_extraction(tiny_config(make_maxpoint()), table)
+        assert render_json(full) == expected(None, ranking)
+        top_one = run_extraction(tiny_config(make_maxpoint(), top_k=1), table)
+        assert render_json(top_one) == expected(1, ranking[:1])
 
     def test_enumerates_once_per_run(self, monkeypatch):
         calls = []

@@ -121,6 +121,10 @@ class TestIngest:
         with pytest.raises(DataError, match="duplicate"):
             ingest_measurements(RECORD_LINE + "\n" + RECORD_LINE, ROBERTA_EMB)
 
+    def test_duplicate_names_both_lines(self):
+        with pytest.raises(DataError, match=r"line 3: duplicate .* \(first on line 1\)"):
+            parse_measurements(RECORD_LINE + "\n\n" + RECORD_LINE)
+
     def test_malformed_line_reports_number(self):
         source = RECORD_LINE + "\nnot json\n"
         with pytest.raises(DataError, match="line 2"):
