@@ -57,18 +57,30 @@ from .space import (
     stride_subsample,
     validate,
 )
-from .toynet import (
-    ToyNet,
-    ToyNetConfig,
-    attention,
-    count_instantiated_params,
-    distillation_loss,
-    forward,
-    forward_with_stats,
-    gelu,
-    kd_loss,
-    layer_norm,
-    softmax,
+
+# The toy network needs numpy; its names load it on first access (PEP 562),
+# so importing the package for enumerate, cost and rank does not.
+_TOYNET_NAMES = (
+    "ToyNet",
+    "ToyNetConfig",
+    "attention",
+    "count_instantiated_params",
+    "distillation_loss",
+    "forward",
+    "forward_with_stats",
+    "gelu",
+    "kd_loss",
+    "layer_norm",
+    "softmax",
 )
+
+
+def __getattr__(name: str):
+    if name in _TOYNET_NAMES:
+        from . import toynet
+
+        return getattr(toynet, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -16,9 +16,11 @@ appendix) instead of being scored.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import islice
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import ConfigError, DataError
@@ -43,6 +45,7 @@ METRIC_MODES = (ANALYTIC, INGESTED)
 
 EXCEEDS_PARAMS = "exceeds_maxpoint_params"
 EXCEEDS_LATENCY = "exceeds_maxpoint_latency"
+NO_FLAGS: frozenset[str] = frozenset()
 
 
 def w_coefficient(candidate: MetricTriple, maxpoint: MaxPoint) -> float:
@@ -64,13 +67,16 @@ def w_coefficient(candidate: MetricTriple, maxpoint: MaxPoint) -> float:
 
 
 def exceed_flags(candidate: MetricTriple, maxpoint: MaxPoint) -> frozenset[str]:
-    """Flags for a candidate that exceeds the maximum point (empty when it does not)."""
-    flags = set()
-    if candidate.param_size > maxpoint.metrics.param_size:
-        flags.add(EXCEEDS_PARAMS)
-    if candidate.latency > maxpoint.metrics.latency:
-        flags.add(EXCEEDS_LATENCY)
-    return frozenset(flags)
+    """Flags for a candidate that exceeds the maximum point; the shared NO_FLAGS when none."""
+    over_params = candidate.param_size > maxpoint.metrics.param_size
+    over_latency = candidate.latency > maxpoint.metrics.latency
+    if not (over_params or over_latency):
+        return NO_FLAGS
+    return frozenset(
+        flag
+        for flag, over in ((EXCEEDS_PARAMS, over_params), (EXCEEDS_LATENCY, over_latency))
+        if over
+    )
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ class SearchConfig:
         return enumerate_space(stride_subsample(self.space, self.epsilon))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateReport:
     """One report row: ranked, or excluded by the maximum-point rule.
 
@@ -122,7 +128,7 @@ class CandidateReport:
     metrics: MetricTriple
     w_coefficient: float
     rank: int | None
-    flags: frozenset[str] = frozenset()
+    flags: frozenset[str] = NO_FLAGS
 
 
 @dataclass(frozen=True)
@@ -142,24 +148,40 @@ def rank_candidates(
     (depth, heads, hidden, intermediate); ranks are contiguous from 1. The
     top_k slice applies after ranking, and only the shown rows become
     reports. Candidates exceeding the maximum point are collected separately,
-    in architecture order.
+    in architecture order. A w_coefficient that a float cannot hold is an
+    error naming the candidate: ConfigError when an exact count is too large
+    to convert, DataError when the arithmetic overflows to inf or NaN.
     """
     candidates = config.candidates
+    maxpoint = config.maxpoint
     scored: list[tuple[float, ArchParams, MetricTriple]] = []
     excluded: list[CandidateReport] = []
     for arch in candidates:
         triple = metrics.get(arch)
         if triple is None:
             raise DataError(f"no metric entry for candidate architecture {arch}")
-        w = w_coefficient(triple, config.maxpoint)
-        flags = exceed_flags(triple, config.maxpoint)
+        try:
+            w = w_coefficient(triple, maxpoint)
+        except OverflowError as exc:
+            raise ConfigError(
+                f"w_coefficient of architecture {arch}: a parameter count is too large"
+                " for a float"
+            ) from exc
+        if not math.isfinite(w):
+            raise DataError(
+                f"w_coefficient of architecture {arch} is not finite ({w}): its parameter"
+                " and latency values overflow a float"
+            )
+        flags = exceed_flags(triple, maxpoint)
         if flags:
             excluded.append(CandidateReport(arch, triple, w, None, flags))
         else:
             scored.append((w, arch, triple))
     if not scored:
         raise DataError("no candidates remain after maximum-point exclusion")
-    scored.sort(key=lambda row: (-row[0], row[1]))
+    # Candidates ascend by architecture and list.sort is stable (also with
+    # reverse=True), so tied w values stay in ascending architecture order.
+    scored.sort(key=itemgetter(0), reverse=True)
     ranked = tuple(
         CandidateReport(arch, triple, w, position)
         for position, (w, arch, triple) in enumerate(islice(scored, config.top_k), start=1)
@@ -238,26 +260,87 @@ def run_extraction(
     return ExtractionReport(header=header, result=result)
 
 
+# The fields of a report row, in output order. _row_dict and the JSON row
+# templates both take their keys from here.
+_ROW_FIELDS = ("arch", "param_size", "latency", "latency_unit", "error", "w_coefficient", "flags")
+
+
 def _row_dict(row: CandidateReport) -> dict:
-    return {
-        "arch": list(row.arch.as_tuple()),
-        "param_size": row.metrics.param_size,
-        "latency": row.metrics.latency,
-        "latency_unit": row.metrics.latency_unit,
-        "error": row.metrics.error,
-        "w_coefficient": row.w_coefficient,
-        "flags": sorted(row.flags),
-    }
+    m = row.metrics
+    values = (
+        list(row.arch.as_tuple()), m.param_size, m.latency, m.latency_unit, m.error,
+        row.w_coefficient, sorted(row.flags),
+    )
+    return dict(zip(_ROW_FIELDS, values))
+
+
+def _json_number(value) -> str:
+    """value as json.dumps(value, allow_nan=False) writes it: float.__repr__ or int.__repr__.
+
+    Anything else, a non-finite float included, goes to json.dumps itself,
+    which raises ValueError for NaN and infinities.
+    """
+    if type(value) is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+    elif type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value, allow_nan=False)
+
+
+def _json_row_template(keys: tuple[str, ...]) -> str:
+    """%-template of one row object, laid out as json.dumps(doc, indent=2) lays out a list item.
+
+    rank and the arch ints are %d; every other value is passed pre-rendered.
+    """
+    arch = "[\n" + ",\n".join(["        %d"] * len(fields(ArchParams))) + "\n      ]"
+    placeholder = {"rank": "%d", "arch": arch}
+    lines = ",\n".join(f'      "{key}": {placeholder.get(key, "%s")}' for key in keys)
+    return "    {\n" + lines + "\n    }"
+
+
+_RANKED_ROW_JSON = _json_row_template(("rank", *_ROW_FIELDS))
+# An excluded row's rank is None; "%.0s" consumes it and writes nothing.
+_EXCLUDED_ROW_JSON = "%.0s" + _json_row_template(_ROW_FIELDS)
+
+
+def _json_rows(rows: tuple[CandidateReport, ...], template: str) -> str:
+    """The JSON list of report rows, each written from `template` with no intermediate dict."""
+    if not rows:
+        return "[]"
+    number = _json_number
+    strings: dict[str, str] = {}
+    flag_lists: dict[frozenset[str], str] = {}
+    items = []
+    for row in rows:
+        m = row.metrics
+        unit = strings.get(m.latency_unit)
+        if unit is None:
+            unit = strings[m.latency_unit] = json.dumps(m.latency_unit)
+        flags = flag_lists.get(row.flags)
+        if flags is None:
+            flags = flag_lists[row.flags] = json.dumps(sorted(row.flags), indent=2).replace(
+                "\n", "\n      "
+            )
+        items.append(template % (
+            row.rank, *row.arch.as_tuple(), number(m.param_size), number(m.latency), unit,
+            number(m.error), number(row.w_coefficient), flags,
+        ))
+    return "[\n" + ",\n".join(items) + "\n  ]"
 
 
 def render_json(report: ExtractionReport) -> str:
-    """Machine-readable rendering; byte-deterministic for identical reports."""
-    doc = {
-        "header": report.header,
-        "ranking": [{"rank": row.rank, **_row_dict(row)} for row in report.result.ranked],
-        "excluded": [_row_dict(row) for row in report.result.excluded],
-    }
-    return json.dumps(doc, indent=2)
+    """Machine-readable rendering; byte-deterministic for identical reports.
+
+    The text is exactly json.dumps(doc, indent=2, allow_nan=False) of
+    {"header", "ranking", "excluded"}, with each ranked row {"rank", **_row_dict}
+    and each excluded row _row_dict; a non-finite float raises ValueError.
+    Only the small header goes through json.dumps.
+    """
+    header = json.dumps(report.header, indent=2, allow_nan=False).replace("\n", "\n  ")
+    ranking = _json_rows(report.result.ranked, _RANKED_ROW_JSON)
+    excluded = _json_rows(report.result.excluded, _EXCLUDED_ROW_JSON)
+    return f'{{\n  "header": {header},\n  "ranking": {ranking},\n  "excluded": {excluded}\n}}'
 
 
 def _format_cell(value: object) -> str:

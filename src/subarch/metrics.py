@@ -46,7 +46,7 @@ def finite_number(value, what: str) -> float:
     raise ConfigError(f"{what} must be a finite number (got {value!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricTriple:
     """Surrogate parameter size, latency (with unit) and error for one candidate."""
 
@@ -193,6 +193,18 @@ def ingest_measurements(
     return build_metric_map(parse_measurements(source), emb)
 
 
+def _flops_triple(arch: ArchParams, param_size: int, error: float) -> MetricTriple:
+    """A triple with the closed-form FLOP count as latency.
+
+    The exact count must convert to a float for the finiteness check; a count
+    beyond the float range is a ConfigError naming the architecture.
+    """
+    try:
+        return MetricTriple(param_size, flop_count(arch), error, FLOPS)
+    except OverflowError as exc:
+        raise ConfigError(f"the FLOP count of architecture {arch} is too large for a float") from exc
+
+
 def analytic_metrics(
     arch: ArchParams, emb: EmbeddingConfig, error_provider: ErrorProvider
 ) -> MetricTriple:
@@ -207,12 +219,7 @@ def analytic_metrics(
     except Exception as exc:
         raise DataError(f"error provider failed for architecture {arch}: {exc}") from exc
     finite_positive(error, f"surrogate error for architecture {arch}", DataError)
-    return MetricTriple(
-        param_size=param_size,
-        latency=flop_count(arch),
-        error=error,
-        latency_unit=FLOPS,
-    )
+    return _flops_triple(arch, param_size, error)
 
 
 def synthetic_error(arch: ArchParams, emb: EmbeddingConfig, c0: float, c1: float) -> float:
@@ -261,13 +268,7 @@ ErrorModel = ConstantErrorModel | SyntheticErrorModel
 def analytic_maxpoint(arch: ArchParams, emb: EmbeddingConfig) -> MaxPoint:
     """Maximum point with closed-form parameter and FLOP metrics."""
     # The error slot is unused for the maximum point; 1.0 is a placeholder.
-    triple = MetricTriple(
-        param_size=param_count(arch, emb),
-        latency=flop_count(arch),
-        error=1.0,
-        latency_unit=FLOPS,
-    )
-    return MaxPoint(arch, triple)
+    return MaxPoint(arch, _flops_triple(arch, param_count(arch, emb), 1.0))
 
 
 def maxpoint_from_measurements(

@@ -16,7 +16,7 @@ def positive_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ArchParams:
     """One member of the encoder family: depth, attention heads, hidden and intermediate size.
 

@@ -24,15 +24,34 @@ _GELU_SCALE = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x):
-    """tanh-form GeLU approximation; accepts scalars or arrays."""
-    return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + GELU_CUBIC * x**3)))
+    """tanh-form GeLU approximation; accepts scalars or arrays.
+
+    A float array is computed in two fresh buffers, with the same ufuncs on
+    the same operands as the expression, so the result is bitwise equal.
+    """
+    if not (isinstance(x, np.ndarray) and x.ndim and x.dtype.kind == "f"):
+        return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + GELU_CUBIC * x**3)))
+    inner = np.power(x, 3)
+    inner *= GELU_CUBIC
+    inner += x
+    inner *= _GELU_SCALE
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    out = 0.5 * x
+    out *= inner
+    return out
 
 
 def softmax(x, axis: int = -1):
-    """Numerically stable softmax; rows sum to 1 and entries lie in (0, 1]."""
+    """Numerically stable softmax; rows sum to 1 and entries lie in (0, 1].
+
+    The exponent and the division reuse the buffer of shifted values (a
+    float one); the input is never written.
+    """
     shifted = x - np.max(x, axis=axis, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / np.sum(weights, axis=axis, keepdims=True)
+    weights = np.exp(shifted, out=shifted if shifted.dtype.kind == "f" else None)
+    weights /= np.sum(weights, axis=axis, keepdims=True)
+    return weights
 
 
 def layer_norm(x, scale, shift, eps: float = 1e-5):
@@ -52,7 +71,11 @@ def layer_norm(x, scale, shift, eps: float = 1e-5):
         raise ValueError("scale and shift must match the last axis of x")
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * scale + shift
+    out = x - mean
+    out /= np.sqrt(var + eps)
+    out *= scale
+    out += shift
+    return out
 
 
 class ForwardStats:
@@ -89,7 +112,8 @@ def attention(x, query, key, value, heads: int, stats: ForwardStats | None = Non
     q = project(query)
     k = project(key)
     v = project(value)
-    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(head_dim)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores /= math.sqrt(head_dim)
     probs = softmax(scores, axis=-1)
     if stats is not None:
         stats.record_softmax(probs)

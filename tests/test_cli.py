@@ -289,6 +289,42 @@ class TestRank:
         assert "line 2" in err
         assert out == ""
 
+    def test_non_finite_w_exits_3(self, tmp_path, capsys):
+        # Every input is finite, but params(T) * latency(T) overflows to inf and w to NaN.
+        cfg = write_config(
+            tmp_path / "c.json",
+            depths=[2], heads=[4], hiddens=[512], intermediates=[256], epsilon=1,
+        )
+        path = tmp_path / "m.ndjson"
+        path.write_text(
+            '{"arch": [24, 16, 1024, 4096], "latency_s": 1e300, "error": 1.0, "trials": 1}\n'
+            '{"arch": [2, 4, 512, 256], "latency_s": 1e299, "error": 1.0, "trials": 1}\n'
+        )
+        for fmt in ("json", "text"):
+            code, out, err = run_cli(
+                capsys, "rank", "--config", cfg, "--measurements", str(path), "--format", fmt
+            )
+            assert code == 3
+            assert "<2,4,512,256>" in err
+            assert "not finite" in err
+            assert out == ""
+
+    @pytest.mark.parametrize(
+        "override, arch",
+        [
+            ("vocab=1" + "0" * 400, "<2,4,512,256>"),
+            ("hiddens=[1" + "0" * 300 + "]", "<2,4,1" + "0" * 300 + ",256>"),
+        ],
+        ids=["vocab_10e400", "hidden_10e300"],
+    )
+    def test_count_too_large_for_a_float_exits_2(self, tmp_path, capsys, override, arch):
+        cfg = write_config(tmp_path / "c.json", **GRID)
+        code, out, err = run_cli(capsys, "rank", "--config", cfg, "--set", override)
+        assert code == 2
+        assert f"architecture {arch}" in err
+        assert "too large for a float" in err
+        assert out == ""
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", **GRID)
         target = tmp_path / "missing" / "x.txt"
@@ -378,6 +414,21 @@ class TestVerify:
         assert "FAIL" in out
         assert "<2,4,512,256>" in out
         assert "verification failed" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = (
+        "import sys, subarch.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "import subarch\n"
+        "assert subarch.ToyNet is subarch.cli.ToyNet\n"
+        "assert subarch.cli.ToyNetConfig is subarch.ToyNetConfig\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(subarch.ToyNet.__name__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ToyNet\n"
 
 
 def test_module_entry_point():

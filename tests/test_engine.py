@@ -11,6 +11,9 @@ from subarch.engine import (
     EXCEEDS_LATENCY,
     EXCEEDS_PARAMS,
     INGESTED,
+    CandidateReport,
+    ExtractionReport,
+    RankingResult,
     SearchConfig,
     exceed_flags,
     rank_candidates,
@@ -22,6 +25,7 @@ from subarch.engine import (
 from subarch.errors import ConfigError, DataError
 from subarch.metrics import (
     FLOPS,
+    LATENCY_UNITS,
     SECONDS_PER_SAMPLE,
     ConstantErrorModel,
     MaxPoint,
@@ -380,3 +384,93 @@ def test_w_inverse_error_scaling(t_params, t_latency, f_params, f_latency, error
     base = w_coefficient(MetricTriple(f_params, f_latency, error, FLOPS), maxpoint)
     rescaled = w_coefficient(MetricTriple(f_params, f_latency, error * k, FLOPS), maxpoint)
     assert abs(rescaled * k - base) <= 1e-9 * max(1.0, abs(base))
+
+
+def oracle_json(report: ExtractionReport) -> str:
+    """The report as json.dumps(indent=2) writes it: the reference for render_json."""
+
+    def row(r: CandidateReport) -> dict:
+        return {
+            "arch": list(r.arch.as_tuple()),
+            "param_size": r.metrics.param_size,
+            "latency": r.metrics.latency,
+            "latency_unit": r.metrics.latency_unit,
+            "error": r.metrics.error,
+            "w_coefficient": r.w_coefficient,
+            "flags": sorted(r.flags),
+        }
+
+    doc = {
+        "header": report.header,
+        "ranking": [{"rank": r.rank, **row(r)} for r in report.result.ranked],
+        "excluded": [row(r) for r in report.result.excluded],
+    }
+    return json.dumps(doc, indent=2)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive_float = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+archs = st.builds(ArchParams, *[st.integers(1, 4096)] * 4)
+triples = st.builds(
+    MetricTriple,
+    param_size=st.integers(0, 10**40) | st.floats(min_value=0.0, allow_infinity=False),
+    latency=st.integers(1, 10**40) | positive_float,
+    error=positive_float | st.integers(1, 10**6),
+    latency_unit=st.sampled_from(LATENCY_UNITS),
+)
+flag_sets = st.frozensets(st.sampled_from([EXCEEDS_PARAMS, EXCEEDS_LATENCY]))
+
+
+@st.composite
+def reports(draw):
+    ranked = tuple(
+        CandidateReport(arch, triple, w, position)
+        for position, (arch, triple, w) in enumerate(
+            draw(st.lists(st.tuples(archs, triples, finite), max_size=4)), start=1
+        )
+    )
+    excluded = tuple(
+        CandidateReport(arch, triple, w, None, flags)
+        for arch, triple, w, flags in draw(
+            st.lists(st.tuples(archs, triples, finite, flag_sets), max_size=4)
+        )
+    )
+    header = {
+        "report": "optimal-subarchitecture ranking",
+        "maxpoint": {"arch": [24, 16, 1024, 4096], "param_size": draw(finite), "latency": 1.5},
+        "note": draw(st.text(max_size=12)),
+        "top_k": draw(st.none() | st.integers(1, 10)),
+        "candidates_ranked": len(ranked),
+    }
+    return ExtractionReport(header, RankingResult(ranked, excluded, len(ranked), 8))
+
+
+class TestRenderJson:
+    @settings(max_examples=150, deadline=None)
+    @given(reports())
+    def test_matches_json_dumps(self, report):
+        assert render_json(report) == oracle_json(report)
+
+    def test_covers_every_flag_count_and_empty_lists(self):
+        triple = MetricTriple(5, 2.5, 1.0, FLOPS)
+        arch = ArchParams(2, 2, 8, 4)
+        excluded = tuple(
+            CandidateReport(arch, triple, -0.25, None, frozenset(flags))
+            for flags in ((), (EXCEEDS_PARAMS,), (EXCEEDS_LATENCY, EXCEEDS_PARAMS))
+        )
+        for ranked, rows in (((), ()), ((CandidateReport(arch, triple, 0.1, 1),), excluded)):
+            report = ExtractionReport({"top_k": None}, RankingResult(ranked, rows, len(ranked), 3))
+            assert render_json(report) == oracle_json(report)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            CandidateReport(ArchParams(2, 2, 8, 4), MetricTriple(5, 2, 1.0), float("nan"), 1),
+            CandidateReport(ArchParams(2, 2, 8, 4), MetricTriple(float("inf"), 2, 1.0), 0.5, 1),
+        ],
+        ids=["nan_w", "infinite_param_size"],
+    )
+    def test_non_finite_float_raises(self, row):
+        report = ExtractionReport({}, RankingResult((row,), (), 1, 1))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_json(report)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -195,6 +196,40 @@ class TestForward:
         tokens = np.random.default_rng(9).integers(0, 32, size=(1, 8))
         out = forward(ToyNet(net.config, weights), tokens)
         assert np.all(np.isfinite(out))
+
+
+class TestInPlaceKernels:
+    """gelu, softmax and layer_norm reuse their own buffers but give the plain expressions' bits."""
+
+    def test_bitwise_equal_to_plain_expressions_and_input_untouched(self):
+        rng = np.random.default_rng(12)
+        cubic, scale = 0.44715, math.sqrt(2.0 / math.pi)
+        for shape in [(9,), (3, 4, 16)]:
+            x = rng.normal(size=shape) * 3
+            before = x.copy()
+            shifted = x - np.max(x, axis=-1, keepdims=True)
+            weights = np.exp(shifted)
+            gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+            mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+            assert np.array_equal(
+                gelu(x), 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * x**3)))
+            )
+            assert np.array_equal(softmax(x), weights / np.sum(weights, axis=-1, keepdims=True))
+            assert np.array_equal(
+                layer_norm(x, gamma, beta, 1e-5), (x - mean) / np.sqrt(var + 1e-5) * gamma + beta
+            )
+            assert np.array_equal(x, before)
+
+    def test_forward_digest_pinned(self):
+        # sha256 of the output bytes before the kernels worked in place (float64, same seeds).
+        cfg = ToyNetConfig(
+            arch=ArchParams(2, 4, 16, 32), emb=EmbeddingConfig(64, 16, 8, 1), seed=11
+        )
+        tokens = np.random.default_rng(5).integers(0, 64, size=(2, 8))
+        out = forward(ToyNet.build(cfg), tokens)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "e25fcd816e188be9911d6537daa44d0fac44c47448c80f059e7f4952246fc4ef"
+        )
 
 
 class TestInstantiatedCount:
