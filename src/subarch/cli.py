@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import config as config_mod
-from .costs import dominance_report
+from .costs import dominance_report, param_count
 from .engine import (
     ANALYTIC,
     INGESTED,
@@ -286,8 +286,15 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
         seed=seed,
     )
     tokens = _read_tokens(args.tokens, emb.seq)
-    net = ToyNet.build(net_config)
-    out, stats = forward_with_stats(net, tokens)
+    try:
+        net = ToyNet.build(net_config)
+        out, stats = forward_with_stats(net, tokens)
+    except MemoryError as exc:
+        weight_bytes = param_count(arch, emb) * 8
+        raise ConfigError(
+            f"toy network {arch} does not fit in memory: its float64 weights alone"
+            f" take {weight_bytes:,} bytes ({weight_bytes / 2**30:,.1f} GiB)"
+        ) from exc
     doc = {
         "output_shape": list(out.shape),
         "min": float(out.min()),

@@ -124,7 +124,8 @@ def apply_overrides(settings: dict, pairs: Iterable[str]) -> dict:
         if rest is None:
             out[head] = value
         elif rest != "mode":
-            error_obj = dict(out.get("error") or {})
+            current = out.get("error")
+            error_obj = dict(current) if isinstance(current, dict) else {}
             error_obj[rest] = value
             out["error"] = error_obj
     return out
@@ -169,7 +170,7 @@ def error_model_from(settings: dict) -> ErrorModel:
     if not isinstance(obj, dict) or "mode" not in obj:
         raise ConfigError("config key 'error' must be an object with a 'mode'")
     mode = obj["mode"]
-    allowed = _ERROR_KEYS.get(mode)
+    allowed = _ERROR_KEYS.get(mode) if isinstance(mode, str) else None
     if allowed is None:
         raise ConfigError(f"error mode must be 'constant' or 'synthetic' (got {mode!r})")
     unknown = sorted(set(obj) - allowed)

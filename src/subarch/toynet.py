@@ -21,24 +21,45 @@ from .space import ArchParams, EmbeddingConfig, require_valid
 
 GELU_CUBIC = 0.44715
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
+# Elements per gelu block: whole rows of the last axis, one row at least.
+_GELU_BLOCK = 1 << 15
 
 
-def gelu(x):
+def gelu(x, out=None):
     """tanh-form GeLU approximation; accepts scalars or arrays.
 
-    A float array is computed in two fresh buffers, with the same ufuncs on
-    the same operands as the expression, so the result is bitwise equal.
+    A float array is computed over blocks of whole rows of the last axis, with
+    the same ufuncs on the same operands as the expression, so the result is
+    bitwise equal and only one block's cube is held at a time. Without `out`
+    the result is a fresh array and `x` is never written; `out` (a C-contiguous
+    array of x's shape and dtype, `x` itself included) receives the result and
+    is returned. Each block of `x` is read before the same block of `out` is
+    written, so `gelu(x, out=x)` is safe.
     """
     if not (isinstance(x, np.ndarray) and x.ndim and x.dtype.kind == "f"):
         return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + GELU_CUBIC * x**3)))
-    inner = np.power(x, 3)
-    inner *= GELU_CUBIC
-    inner += x
-    inner *= _GELU_SCALE
-    np.tanh(inner, out=inner)
-    inner += 1.0
-    out = 0.5 * x
-    out *= inner
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype)
+    elif out.shape != x.shape or out.dtype != x.dtype or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of the input's shape and dtype")
+    width = x.shape[-1]
+    rows = math.prod(x.shape[:-1])
+    x_rows = x.reshape(rows, width)
+    out_rows = out.reshape(rows, width)
+    step = max(1, _GELU_BLOCK // max(width, 1))
+    scratch = np.empty((min(step, rows), width), dtype=x.dtype)
+    for start in range(0, rows, step):
+        xb = x_rows[start : start + step]
+        ob = out_rows[start : start + step]
+        inner = scratch[: len(xb)]
+        np.power(xb, 3, out=inner)
+        inner *= GELU_CUBIC
+        inner += xb
+        inner *= _GELU_SCALE
+        np.tanh(inner, out=inner)
+        inner += 1.0
+        np.multiply(0.5, xb, out=ob)
+        ob *= inner
     return out
 
 
@@ -94,9 +115,14 @@ def attention(x, query, key, value, heads: int, stats: ForwardStats | None = Non
 
     query/key/value are (weight, bias) pairs of full-width projections; the
     softmax runs per head over blocks of width hidden/heads, with scores
-    divided by sqrt(hidden/heads).
+    divided by sqrt(hidden/heads). Scores are formed one (sequence, head)
+    block at a time, so only one sequence-by-sequence matrix is live; each
+    block makes the same 2-D matmul calls, with the same strides, as a
+    batched product over all heads.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
+        raise ValueError(f"attention needs a (..., sequence, hidden) input (got shape {x.shape})")
     hidden = x.shape[-1]
     if heads < 1 or hidden % heads != 0:
         raise ValueError(f"hidden ({hidden}) must be divisible by heads ({heads})")
@@ -104,22 +130,25 @@ def attention(x, query, key, value, heads: int, stats: ForwardStats | None = Non
 
     def project(pair):
         weight, bias = pair
-        out = x @ weight + bias
-        # (..., seq, hidden) -> (..., heads, seq, head_dim)
-        split = out.reshape(*out.shape[:-1], heads, head_dim)
-        return np.moveaxis(split, -2, -3)
+        out = x @ weight
+        out += bias
+        # (..., seq, hidden) -> (..., seq, heads, head_dim), a view
+        return out.reshape(*out.shape[:-1], heads, head_dim)
 
     q = project(query)
     k = project(key)
     v = project(value)
-    scores = q @ np.swapaxes(k, -1, -2)
-    scores /= math.sqrt(head_dim)
-    probs = softmax(scores, axis=-1)
-    if stats is not None:
-        stats.record_softmax(probs)
-    attended = probs @ v
-    merged = np.moveaxis(attended, -3, -2)
-    return merged.reshape(*merged.shape[:-2], hidden)
+    attended = np.empty_like(q)
+    for idx in np.ndindex(x.shape[:-2]):
+        for h in range(heads):
+            block = q[idx][:, h] @ k[idx][:, h].T
+            block /= math.sqrt(head_dim)
+            # Rebinding frees the raw scores once the probabilities exist.
+            block = softmax(block, axis=-1)
+            if stats is not None:
+                stats.record_softmax(block)
+            np.matmul(block, v[idx][:, h], out=attended[idx][:, h])
+    return attended.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -198,7 +227,10 @@ def count_instantiated_params(net: ToyNet) -> int:
 
 
 def _encoder_block(x, weights, base: str, heads: int, eps: float, stats):
-    attended = attention(
+    # One working name, rebound at each step, so every activation is freed
+    # once the next step has read it; the in-place adds are the same np.add
+    # calls on the same operands as the expression form.
+    h = attention(
         x,
         (weights[f"{base}.attention.query.weight"], weights[f"{base}.attention.query.bias"]),
         (weights[f"{base}.attention.key.weight"], weights[f"{base}.attention.key.bias"]),
@@ -206,21 +238,20 @@ def _encoder_block(x, weights, base: str, heads: int, eps: float, stats):
         heads,
         stats,
     )
-    projected = attended @ weights[f"{base}.attention.output.weight"]
-    projected = projected + weights[f"{base}.attention.output.bias"]
+    h = h @ weights[f"{base}.attention.output.weight"]
+    h += weights[f"{base}.attention.output.bias"]
+    h += x
     mixed = layer_norm(
-        projected + x,
-        weights[f"{base}.attention_norm.scale"],
-        weights[f"{base}.attention_norm.shift"],
-        eps,
+        h, weights[f"{base}.attention_norm.scale"], weights[f"{base}.attention_norm.shift"], eps
     )
-    widened = gelu(mixed @ weights[f"{base}.intermediate.weight"] + weights[f"{base}.intermediate.bias"])
-    narrowed = widened @ weights[f"{base}.projection.weight"] + weights[f"{base}.projection.bias"]
+    h = mixed @ weights[f"{base}.intermediate.weight"]
+    h += weights[f"{base}.intermediate.bias"]
+    h = gelu(h, out=h)
+    h = h @ weights[f"{base}.projection.weight"]
+    h += weights[f"{base}.projection.bias"]
+    h += mixed
     return layer_norm(
-        narrowed + mixed,
-        weights[f"{base}.output_norm.scale"],
-        weights[f"{base}.output_norm.shift"],
-        eps,
+        h, weights[f"{base}.output_norm.scale"], weights[f"{base}.output_norm.shift"], eps
     )
 
 

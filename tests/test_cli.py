@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GRID_AXES, write_config
-from subarch import costs
+from subarch import costs, toynet
 from subarch.cli import main
+from subarch.config import KNOWN_KEYS
 
 GRID = dict(GRID_AXES, epsilon=1)
 
@@ -267,6 +273,24 @@ class TestRank:
         assert "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (["error.mode=[]"], "error mode must be"),
+            (["error=5", "error.value=1"], "must be an object with a 'mode'"),
+        ],
+        ids=["list_mode", "key_into_a_number"],
+    )
+    def test_malformed_error_object_exits_2(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path / "c.json", **GRID)
+        argv = ["rank", "--config", cfg]
+        for pair in overrides:
+            argv += ["--set", pair]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     @pytest.mark.parametrize("raw", ["1" + "0" * 400, "true"], ids=["400_digits", "bool"])
     def test_non_finite_or_bool_error_value_exits_2(self, tmp_path, capsys, raw):
         cfg = write_config(tmp_path / "c.json", **GRID)
@@ -397,6 +421,27 @@ class TestToyForward:
         assert code == 3
         assert "multiple" in err
 
+    @pytest.mark.parametrize("stage", ["build", "forward"])
+    def test_net_that_does_not_fit_exits_2(self, tmp_path, capsys, monkeypatch, stage):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 375. GiB")
+
+        if stage == "build":
+            monkeypatch.setattr(toynet.ToyNet, "build", classmethod(out_of_memory))
+        else:
+            monkeypatch.setattr(toynet, "forward_with_stats", out_of_memory)
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("\n".join(str(i) for i in range(16)) + "\n")
+        code, out, err = run_cli(
+            capsys, "toy-forward", str(tokens), "--config", self._config(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        # 1,696 parameters of 8 bytes each
+        assert "toy network <2,2,8,16> does not fit in memory" in err
+        assert "13,568 bytes" in err
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -439,3 +484,83 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["params"]["total"] == 355_361_792
+
+
+# A four-point grid whose every candidate, the maximum point included, has a
+# record in the generated measurement files, so ingested runs can succeed.
+_FUZZ_ARCHS = [[2, 1, 4, 4], [2, 1, 4, 8], [2, 2, 4, 4], [2, 2, 4, 8]]
+_FUZZ_BASE = {
+    "depths": [2], "heads": [1, 2], "hiddens": [4], "intermediates": [4, 8],
+    "epsilon": 1, "maxpoint": [2, 2, 4, 8],
+}
+_FUZZ_KEYS = sorted(KNOWN_KEYS) + ["error.mode", "error.value", "error.c0", "error.c1", "bogus"]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 10**30)
+    | st.sampled_from([2**63, 10**400])
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+_set_values = (
+    _json_values.map(json.dumps)
+    | st.text(max_size=8)
+    | st.sampled_from(["NaN", "Infinity", "-Infinity", "9" * 5000, "constant", "synthetic"])
+)
+
+
+@st.composite
+def _ndjson(draw) -> str:
+    """A full record set for the fuzz grid with a few fields or lines garbled."""
+    positive = st.floats(0.01, 10.0)
+    records = [
+        {"arch": arch, "latency_s": draw(positive), "error": draw(positive), "trials": 5}
+        for arch in _FUZZ_ARCHS
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        record = draw(st.sampled_from(records))
+        record[draw(st.sampled_from(["arch", "latency_s", "error", "trials", "extra"]))] = draw(
+            _json_values
+        )
+    lines = [json.dumps(record) for record in records]
+    lines += draw(st.lists(_json_values.map(json.dumps) | st.text(max_size=10), max_size=2))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token} in output")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["enumerate", "cost", "rank", "rank-ingested"]),
+    fmt=st.sampled_from(["text", "json"]),
+    overrides=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), _set_values), max_size=3),
+    arch=st.none() | st.sampled_from(["2,2,4,8", "4,8,1024,768"]) | _set_values,
+    ndjson=_ndjson(),
+)
+def test_cli_fuzz_exits_cleanly(command, fmt, overrides, arch, ndjson):
+    """Random config values and records end in a documented exit, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp) / "c.json", **_FUZZ_BASE)
+        argv = [command.partition("-")[0], "--config", config, "--format", fmt]
+        for key, value in overrides:
+            argv += ["--set", f"{key}={value}"]
+        if command == "cost" and arch is not None:
+            argv.append(f"--arch={arch}")  # one token, so "-1,..." is not read as a flag
+        if command == "rank-ingested":
+            measurements = Path(tmp) / "m.ndjson"
+            measurements.write_text(ndjson)
+            argv += ["--measurements", str(measurements)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+    assert code in {0, 2, 3, 4}, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and fmt == "json":
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,103 @@ class TestInPlaceKernels:
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
             "e25fcd816e188be9911d6537daa44d0fac44c47448c80f059e7f4952246fc4ef"
         )
+
+
+def batched_attention(x, query, key, value, heads, stats=None):
+    """All heads at once: moveaxis projections, one score stack, the plain softmax."""
+    hidden = x.shape[-1]
+    head_dim = hidden // heads
+
+    def project(pair):
+        out = x @ pair[0] + pair[1]
+        return np.moveaxis(out.reshape(*out.shape[:-1], heads, head_dim), -2, -3)
+
+    q, k, v = project(query), project(key), project(value)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores /= math.sqrt(head_dim)
+    weights = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    probs = weights / np.sum(weights, axis=-1, keepdims=True)
+    if stats is not None:
+        stats.record_softmax(probs)
+    merged = np.moveaxis(probs @ v, -3, -2)
+    return merged.reshape(*merged.shape[:-2], hidden)
+
+
+class TestBlockedKernels:
+    """Attention by (sequence, head) block and blocked gelu give the all-at-once bits."""
+
+    @pytest.mark.parametrize(
+        "shape,heads",
+        [
+            ((5, 8), 2),  # (seq, hidden)
+            ((3, 6, 12), 3),
+            ((2, 2, 5, 8), 4),
+            ((2, 7, 6), 1),  # one head
+            ((2, 5, 4), 4),  # head_dim 1
+            ((3, 1, 8), 2),  # one position
+        ],
+    )
+    @pytest.mark.parametrize("with_stats", [True, False])
+    def test_attention_matches_batched_heads(self, shape, heads, with_stats):
+        rng = np.random.default_rng(sum(shape) + heads)
+        hidden = shape[-1]
+        pairs = [(rng.normal(size=(hidden, hidden)), rng.normal(size=hidden)) for _ in range(3)]
+        x = rng.normal(size=shape) * 2
+        before = x.copy()
+        stats, oracle_stats = (ForwardStats(), ForwardStats()) if with_stats else (None, None)
+        out = attention(x, *pairs, heads=heads, stats=stats)
+        expected = batched_attention(x, *pairs, heads=heads, stats=oracle_stats)
+        assert out.shape == x.shape
+        assert np.array_equal(out, expected)
+        assert np.array_equal(x, before)
+        if with_stats:
+            assert stats.softmax_row_dev == oracle_stats.softmax_row_dev
+
+    def test_attention_rejects_a_vector(self):
+        zero = (np.zeros((4, 4)), np.zeros(4))
+        with pytest.raises(ValueError, match="sequence, hidden"):
+            attention(np.zeros(4), zero, zero, zero, heads=2)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(100,), (2**15,), (2**15 + 37,), (3, 2**15 + 5), (50, 1000), (4, 3, 7), (0, 5)],
+        ids=["below", "at", "above", "row_longer_than_block", "rows_with_tail", "odd", "empty"],
+    )
+    def test_gelu_in_place_equals_fresh(self, shape):
+        cubic, scale = 0.44715, math.sqrt(2.0 / math.pi)
+        x = np.random.default_rng(len(shape)).normal(size=shape) * 4
+        fresh = gelu(x.copy())
+        assert np.array_equal(fresh, 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * x**3))))
+        assert gelu(x, out=x) is x
+        assert np.array_equal(x, fresh)
+
+    def test_gelu_writes_a_given_buffer(self):
+        x = np.random.default_rng(6).normal(size=(3, 9))
+        before = x.copy()
+        out = np.empty_like(x)
+        assert gelu(x, out=out) is out
+        assert np.array_equal(out, gelu(x))
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((3, 8)), np.empty((3, 9), dtype=np.float32), np.empty((9, 3)).T]
+    )
+    def test_gelu_rejects_a_mismatched_buffer(self, out):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            gelu(np.zeros((3, 9)), out=out)
+
+    def test_attention_never_holds_the_score_stack(self):
+        # The batched form holds 2*4*128*128 float64 scores (1 MiB) at once.
+        rng = np.random.default_rng(8)
+        pairs = [(rng.normal(size=(64, 64)), rng.normal(size=64)) for _ in range(3)]
+        x = rng.normal(size=(2, 128, 64))
+        tracemalloc.start()
+        try:
+            attention(x, *pairs, heads=4, stats=ForwardStats())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4 * 128 * 128 * 8
 
 
 class TestInstantiatedCount:
