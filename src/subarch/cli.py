@@ -29,7 +29,7 @@ from .metrics import (
     ingest_measurements,
     maxpoint_from_measurements,
 )
-from .space import ArchParams, enumerate_space, stride_subsample
+from .space import ArchParams, EmbeddingConfig, enumerate_space, stride_subsample
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,7 +58,8 @@ _DISCREPANCY_NOTE = (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
+    """--config, --set and --output; --format too where the command renders text or JSON."""
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument(
         "--set",
@@ -68,9 +69,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override a config value (repeatable; dotted keys reach the error object)",
     )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    if formats:
+        parser.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        )
     parser.add_argument("--output", metavar="PATH", help="write output to a file instead of stdout")
 
 
@@ -101,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.set_defaults(func=_cmd_rank)
 
     p_toy = sub.add_parser("toy-forward", help="run the toy network on a token-id file")
-    _add_common(p_toy)
+    _add_common(p_toy, formats=False)
     p_toy.add_argument("tokens", metavar="TOKEN_FILE", help="newline-delimited integer token ids")
     p_toy.add_argument("--arch", metavar="D,A,H,I", help="architecture tuple")
     p_toy.add_argument("--seed", type=int, help="weight seed")
@@ -122,7 +124,7 @@ def _emit(text: str, args: argparse.Namespace) -> None:
     if getattr(args, "output", None):
         try:
             Path(args.output).write_text(text + "\n")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise ConfigError(f"cannot write output file {args.output}: {exc}") from exc
     else:
         print(text)
@@ -164,10 +166,7 @@ def _cost_note(arch, emb) -> str | None:
     return None
 
 
-def _cmd_cost(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    arch = _arch_from(args, settings)
-    emb = config_mod.embedding_from(settings)
+def _cost_text(arch: ArchParams, emb: EmbeddingConfig, fmt: str) -> str:
     dominance = dominance_report(arch, emb)
     doc = {"arch": list(arch.as_tuple()), "embedding": {"vocab": emb.vocab, "typepos": emb.typepos}}
     for kind in ("params", "flops"):
@@ -182,9 +181,8 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     note = _cost_note(arch, emb)
     if note:
         doc["note"] = note
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2), args)
-        return 0
+    if fmt == "json":
+        return json.dumps(doc, indent=2)
     lines = [
         f"architecture: depth={arch.depth} heads={arch.heads}"
         f" hidden={arch.hidden} intermediate={arch.intermediate}",
@@ -199,17 +197,28 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     )
     if note:
         lines.append(f"note: {note}")
-    _emit("\n".join(lines), args)
+    return "\n".join(lines)
+
+
+def _cmd_cost(args: argparse.Namespace) -> int:
+    settings = _settings(args)
+    arch = _arch_from(args, settings)
+    emb = config_mod.embedding_from(settings)
+    try:
+        text = _cost_text(arch, emb, args.format)
+    except (OverflowError, ValueError) as exc:
+        # The counts are exact ints: a ratio of them can overflow a float, and
+        # one can have more digits than int-to-str conversion writes.
+        raise ConfigError(
+            f"the counts of architecture {arch} are too large to report: {exc}"
+        ) from exc
+    _emit(text, args)
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    if args.measurements is not None:
-        settings["metric_mode"] = INGESTED
-    if args.top_k is not None:
-        settings["top_k"] = args.top_k
-    mode = settings["metric_mode"]
+    mode = INGESTED if args.measurements is not None else settings["metric_mode"]
     space = config_mod.space_from(settings)
     emb = config_mod.embedding_from(settings)
     maxpoint_arch = config_mod.parse_arch(settings["maxpoint"])
@@ -218,10 +227,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if mode == INGESTED:
         if args.measurements is None:
             raise ConfigError("ingested mode requires --measurements PATH")
-        try:
-            text = Path(args.measurements).read_text()
-        except OSError as exc:
-            raise DataError(f"cannot read measurements file {args.measurements}: {exc}") from exc
+        text = config_mod.read_input(args.measurements, "measurements file", DataError)
         measurements = ingest_measurements(text, emb)
         maxpoint = maxpoint_from_measurements(maxpoint_arch, measurements)
     else:
@@ -234,7 +240,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         epsilon=settings["epsilon"],
         metric_mode=mode,
         error_model=config_mod.error_model_from(settings) if mode == ANALYTIC else None,
-        top_k=settings["top_k"],
+        top_k=args.top_k if args.top_k is not None else settings["top_k"],
         n_steps=settings["n_steps"],
     )
     report = run_extraction(run_config, measurements)
@@ -245,10 +251,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _read_tokens(path: str, seq: int) -> np.ndarray:
     import numpy as np
 
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read token file {path}: {exc}") from exc
+    text = config_mod.read_input(path, "token file", DataError)
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -269,6 +272,13 @@ def _read_tokens(path: str, seq: int) -> np.ndarray:
         raise DataError(f"token file {path}: a token id does not fit in int64: {exc}") from exc
 
 
+def _byte_size(n_bytes: int) -> str:
+    """n_bytes in bytes and GiB, or only a bound past 2**1000, where a float overflows."""
+    if n_bytes.bit_length() > 1000:
+        return "more than 2**1000 bytes"
+    return f"{n_bytes:,} bytes ({n_bytes / 2**30:,.1f} GiB)"
+
+
 def _cmd_toy_forward(args: argparse.Namespace) -> int:
     from .toynet import ToyNet, ToyNetConfig, count_instantiated_params, forward_with_stats
 
@@ -276,8 +286,8 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     arch = _arch_from(args, settings)
     emb = config_mod.embedding_from(settings)
     seed = args.seed if args.seed is not None else settings["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer (got {seed!r})")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer (got {seed!r})")
     net_config = ToyNetConfig(
         arch=arch,
         emb=emb,
@@ -289,11 +299,10 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     try:
         net = ToyNet.build(net_config)
         out, stats = forward_with_stats(net, tokens)
-    except MemoryError as exc:
-        weight_bytes = param_count(arch, emb) * 8
+    except (MemoryError, ValueError) as exc:  # ValueError: numpy refuses a size past its limits
         raise ConfigError(
             f"toy network {arch} does not fit in memory: its float64 weights alone"
-            f" take {weight_bytes:,} bytes ({weight_bytes / 2**30:,.1f} GiB)"
+            f" take {_byte_size(param_count(arch, emb) * 8)}"
         ) from exc
     doc = {
         "output_shape": list(out.shape),
@@ -334,9 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -35,9 +35,9 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConfigError
+from .errors import ConfigError, SubarchError
 from .metrics import ConstantErrorModel, ErrorModel, SyntheticErrorModel, finite_number
-from .space import ArchParams, EmbeddingConfig, SearchSpace
+from .space import ArchParams, EmbeddingConfig, SearchSpace, arch_from_ints
 
 DEFAULTS: dict = {
     "epsilon": 2,
@@ -71,17 +71,23 @@ REFERENCE_SPACE = SearchSpace(
 REFERENCE_EMBEDDING = EmbeddingConfig(vocab=50265, typepos=514, seq=512, batch=1024)
 
 
+def read_input(path: str | Path, what: str, error: type[SubarchError]) -> str:
+    """The text of the input file at `path`; a failed read raises `error` naming the file."""
+    try:
+        return Path(path).read_text()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path, or text not UTF-8
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path: str | Path | None) -> dict:
     """Read and validate a config file; returns defaults when no path is given."""
     settings = dict(DEFAULTS)
     if path is None:
         return settings
-    path = Path(path)
+    text = read_input(path, "config file", ConfigError)
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text)
+    except ValueError as exc:  # bad syntax, or an integer longer than int() parses
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
@@ -107,7 +113,7 @@ def apply_overrides(settings: dict, pairs: Iterable[str]) -> dict:
             raise ConfigError(f"override {pair!r} is not of the form key=value")
         try:
             value = json.loads(raw_value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long to parse; the key's check names it
             value = raw_value
         head, dot, rest = key.partition(".")
         if dot and head != "error":
@@ -139,11 +145,7 @@ def parse_arch(value) -> ArchParams:
             value = [int(part) for part in parts]
         except ValueError as exc:
             raise ConfigError(f"architecture {value!r} must be four comma-separated integers") from exc
-    if not isinstance(value, (list, tuple)) or len(value) != 4 or any(
-        not isinstance(v, int) or isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"architecture must be four integers (got {value!r})")
-    return ArchParams(*value)
+    return arch_from_ints(value, "architecture", ConfigError)
 
 
 def space_from(settings: dict) -> SearchSpace:

@@ -59,19 +59,29 @@ def linear_flops(shape: LayerShape) -> int:
     return (2 * shape.cols - 1) * shape.rows
 
 
+def _param_groups(arch: ArchParams, emb: EmbeddingConfig) -> tuple[int, int, int]:
+    """The (embedding, encoder, pooler) groups of the parameter closed form."""
+    d, h, i = arch.depth, arch.hidden, arch.intermediate
+    return (emb.vocab + emb.typepos + 6) * h, d * (4 * h * h + 2 * h * i + 9 * h + i), h * h
+
+
+def _flop_groups(arch: ArchParams) -> tuple[int, int, int]:
+    """The (embedding, encoder, pooler) groups of the FLOP closed form."""
+    d, h, i = arch.depth, arch.hidden, arch.intermediate
+    per_layer = 4 * (2 * h - 1) * h + h * h + (2 * h - 1) * i + 7 * i * i
+    return 3 * h, d * per_layer, (2 * h - 1) * h
+
+
 def param_count(arch: ArchParams, emb: EmbeddingConfig) -> int:
     """Total trainable parameters from the closed form."""
     require_valid(arch)
-    d, h, i = arch.depth, arch.hidden, arch.intermediate
-    return d * (4 * h * h + 2 * h * i + 9 * h + i) + h * h + (emb.vocab + emb.typepos + 6) * h
+    return sum(_param_groups(arch, emb))
 
 
 def flop_count(arch: ArchParams) -> int:
     """Total forward-pass FLOPs per position from the closed form."""
     require_valid(arch)
-    d, h, i = arch.depth, arch.hidden, arch.intermediate
-    per_layer = 4 * (2 * h - 1) * h + h * h + (2 * h - 1) * i + 7 * i * i
-    return d * per_layer + (2 * h - 1) * h + 3 * h
+    return sum(_flop_groups(arch))
 
 
 def embedding_params(arch: ArchParams, emb: EmbeddingConfig) -> int:
@@ -117,23 +127,10 @@ def cost_breakdown(arch: ArchParams, emb: EmbeddingConfig) -> CostBreakdown:
     depth-repeated term. The embedding FLOP group is the 3*H lookup-sum cost.
     """
     require_valid(arch)
-    d, h, i = arch.depth, arch.hidden, arch.intermediate
-    embedding_p = (emb.vocab + emb.typepos + 6) * h
-    encoder_p = d * (4 * h * h + 2 * h * i + 9 * h + i)
-    pooler_p = h * h
-    embedding_f = 3 * h
-    encoder_f = d * (4 * (2 * h - 1) * h + h * h + (2 * h - 1) * i + 7 * i * i)
-    pooler_f = (2 * h - 1) * h
-    return CostBreakdown(
-        embedding_params=embedding_p,
-        encoder_params=encoder_p,
-        pooler_params=pooler_p,
-        total_params=embedding_p + encoder_p + pooler_p,
-        embedding_flops=embedding_f,
-        encoder_flops=encoder_f,
-        pooler_flops=pooler_f,
-        total_flops=embedding_f + encoder_f + pooler_f,
-    )
+    params = _param_groups(arch, emb)
+    flops = _flop_groups(arch)
+    # CostBreakdown's fields are the three groups then the total, params before FLOPs.
+    return CostBreakdown(*params, sum(params), *flops, sum(flops))
 
 
 def shape_list(arch: ArchParams, emb: EmbeddingConfig) -> list[tuple[str, tuple[int, ...]]]:

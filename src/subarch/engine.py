@@ -202,19 +202,6 @@ class ExtractionReport:
     result: RankingResult
 
 
-def _surrogate_note(config: SearchConfig, error_source: str) -> str:
-    latency_basis = (
-        "the closed-form FLOP count"
-        if config.metric_mode == ANALYTIC
-        else "measured seconds per sample"
-    )
-    return (
-        "surrogates: param_size is the closed-form parameter count; latency is "
-        f"{latency_basis}; error comes from {error_source}, a stand-in, not a "
-        "trained-model error signal"
-    )
-
-
 def run_extraction(
     config: SearchConfig,
     measurements: Mapping[ArchParams, MetricTriple] | None = None,
@@ -230,11 +217,13 @@ def run_extraction(
             arch: analytic_metrics(arch, config.emb, provider) for arch in config.candidates
         }
         error_source = config.error_model.describe()
+        latency_basis = "the closed-form FLOP count"
     else:
         if measurements is None:
             raise ConfigError("ingested mode requires a measurement source")
         metric_map = measurements
         error_source = "ingested measurement records"
+        latency_basis = "measured seconds per sample"
 
     result = rank_candidates(config, metric_map)
     t = config.maxpoint
@@ -251,7 +240,11 @@ def run_extraction(
         },
         "embedding": asdict(config.emb),
         "error_provider": error_source,
-        "surrogate_note": _surrogate_note(config, error_source),
+        "surrogate_note": (
+            "surrogates: param_size is the closed-form parameter count; latency is "
+            f"{latency_basis}; error comes from {error_source}, a stand-in, not a "
+            "trained-model error signal"
+        ),
         "top_k": config.top_k,
         "candidates_evaluated": result.candidates_evaluated,
         "candidates_ranked": result.total_ranked,

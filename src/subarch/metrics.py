@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping
 
 from .costs import flop_count, param_count
 from .errors import ConfigError, DataError
-from .space import ArchParams, EmbeddingConfig, positive_int, require_valid
+from .space import ArchParams, EmbeddingConfig, arch_from_ints, positive_int, require_valid
 
 SECONDS_PER_SAMPLE = "seconds_per_sample"
 FLOPS = "flops"
@@ -29,8 +29,8 @@ ErrorProvider = Callable[[ArchParams], float]
 
 
 def finite_positive(value: float, what: str, exc: type[Exception] = ValueError) -> None:
-    """Raise exc naming `what` unless value is finite and > 0."""
-    if not (math.isfinite(value) and value > 0):
+    """Raise exc naming `what` unless value is finite and > 0 (a bool is not a number)."""
+    if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
         raise exc(f"{what} must be finite and positive (got {value})")
 
 
@@ -56,7 +56,7 @@ class MetricTriple:
     latency_unit: str = FLOPS
 
     def __post_init__(self) -> None:
-        if not self.param_size >= 0:
+        if isinstance(self.param_size, bool) or not self.param_size >= 0:
             raise ValueError(f"param_size must be non-negative (got {self.param_size})")
         finite_positive(self.latency, "latency")
         finite_positive(self.error, "error")
@@ -108,16 +108,10 @@ def _record_from_obj(obj: object, lineno: int) -> MeasurementRecord:
             f"measurement line {lineno}: record keys must be exactly {list(_RECORD_KEYS)}"
             f" (missing {missing}, unknown {unknown})"
         )
-    raw_arch = obj["arch"]
-    if (
-        not isinstance(raw_arch, list)
-        or len(raw_arch) != 4
-        or any(not isinstance(v, int) or isinstance(v, bool) for v in raw_arch)
-    ):
-        raise DataError(f"measurement line {lineno}: 'arch' must be a list of 4 integers")
+    arch = arch_from_ints(obj["arch"], f"measurement line {lineno}: 'arch'", DataError)
     try:
         return MeasurementRecord(
-            arch=ArchParams(*raw_arch),
+            arch=arch,
             latency=finite_number(obj["latency_s"], "'latency_s'"),
             error=finite_number(obj["error"], "'error'"),
             trials=obj["trials"],
@@ -158,16 +152,8 @@ def serialize_measurements(records: Iterable[MeasurementRecord]) -> str:
     """Inverse of parse_measurements: one JSON object per line, schema key order."""
     lines = []
     for rec in records:
-        lines.append(
-            json.dumps(
-                {
-                    "arch": list(rec.arch.as_tuple()),
-                    "latency_s": rec.latency,
-                    "error": rec.error,
-                    "trials": rec.trials,
-                }
-            )
-        )
+        values = (list(rec.arch.as_tuple()), rec.latency, rec.error, rec.trials)
+        lines.append(json.dumps(dict(zip(_RECORD_KEYS, values))))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

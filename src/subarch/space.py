@@ -36,6 +36,15 @@ class ArchParams:
         return f"<{self.depth},{self.heads},{self.hidden},{self.intermediate}>"
 
 
+def arch_from_ints(value, what: str, exc: type[Exception]) -> ArchParams:
+    """ArchParams of a list or tuple of four ints (bools are not ints); otherwise raise exc."""
+    if not isinstance(value, (list, tuple)) or len(value) != 4 or any(
+        not isinstance(v, int) or isinstance(v, bool) for v in value
+    ):
+        raise exc(f"{what} must be four integers (got {value!r})")
+    return ArchParams(*value)
+
+
 def validate(arch: ArchParams) -> tuple[str, ...]:
     """Check every architecture constraint; returns the violations, empty when valid.
 

@@ -564,3 +564,238 @@ def test_cli_fuzz_exits_cleanly(command, fmt, overrides, arch, ndjson):
     assert "Traceback" not in err.getvalue()
     if code == 0 and fmt == "json":
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+DEMO_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+
+
+def _no_traceback(err: str) -> None:
+    assert "Traceback" not in err
+
+
+class TestMappedFailures:
+    """Failures that end in a documented exit naming the key, file or architecture."""
+
+    TOY_SETTINGS = ("--set", "seq=2", "--set", "vocab=4", "--set", "typepos=4")
+
+    def _tokens(self, tmp_path, text="0\n1\n2\n3\n"):
+        path = tmp_path / "tokens.txt"
+        path.write_text(text)
+        return str(path)
+
+    def test_override_beyond_the_int_digit_limit_names_the_key(self, capsys):
+        code, out, err = run_cli(
+            capsys, "cost", "--arch", "2,1,1,1", "--set", "vocab=" + "9" * 5000
+        )
+        assert code == 2
+        assert "vocab must be a positive integer" in err
+        assert out == ""
+        _no_traceback(err)
+
+    def test_override_beyond_the_int_digit_limit_is_a_string(self, capsys):
+        # enumerate reads no vocab, so the value is as unused as any other string.
+        argv = ("enumerate", "--config", DEMO_CONFIG)
+        code, plain, _ = run_cli(capsys, *argv, "--set", "vocab=abc")
+        assert code == 0
+        code, out, err = run_cli(capsys, *argv, "--set", "vocab=" + "9" * 5000)
+        assert code == 0
+        assert out == plain
+        assert err == ""
+
+    def test_config_integer_beyond_the_int_digit_limit_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"vocab": ' + "9" * 5000 + "}")
+        code, out, err = run_cli(capsys, "enumerate", "--config", str(path))
+        assert code == 2
+        assert f"config file {path} is not valid JSON" in err
+        assert out == ""
+        _no_traceback(err)
+
+    @pytest.mark.parametrize(
+        "inter, size",
+        [
+            ("1" + "0" * 400, "more than 2**1000 bytes"),
+            (str(2**62), "221,360,928,884,514,619,720 bytes"),  # 8 * (6 * 2**62 + 41)
+        ],
+        ids=["dimension_10e400", "size_2e62"],
+    )
+    def test_toy_size_numpy_refuses_names_the_arch(self, tmp_path, capsys, inter, size):
+        # numpy refuses both shapes before allocating anything large.
+        code, out, err = run_cli(
+            capsys, "toy-forward", self._tokens(tmp_path), "--arch", f"2,1,1,{inter}",
+            *self.TOY_SETTINGS,
+        )
+        assert code == 2
+        assert f"toy network <2,1,1,{inter}> does not fit in memory" in err
+        assert size in err
+        assert out == ""
+        _no_traceback(err)
+
+    def test_huge_count_after_memory_error_is_not_formatted(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(toynet.ToyNet, "build", classmethod(out_of_memory))
+        depth = "2" + "0" * 400
+        code, out, err = run_cli(
+            capsys, "toy-forward", self._tokens(tmp_path), "--arch", f"{depth},1,1,1",
+            *self.TOY_SETTINGS,
+        )
+        assert code == 2
+        assert f"toy network <{depth},1,1,1> does not fit in memory" in err
+        assert "more than 2**1000 bytes" in err
+        _no_traceback(err)
+
+    @pytest.mark.parametrize(
+        "seed", [["--seed", "-1"], ["--set", "seed=true"]], ids=["negative", "bool"]
+    )
+    def test_bad_seed_exits_2(self, tmp_path, capsys, seed):
+        code, out, err = run_cli(
+            capsys, "toy-forward", self._tokens(tmp_path), "--arch", "2,1,1,1",
+            *self.TOY_SETTINGS, *seed,
+        )
+        assert code == 2
+        assert "seed must be a non-negative integer" in err
+        assert out == ""
+        _no_traceback(err)
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            "2,1,1" + "0" * 2500 + ",1" + "0" * 2500,  # counts beyond int-to-str's digit limit
+            "2,1,1,1" + "0" * 200,  # a FLOP ratio beyond the float range
+        ],
+        ids=["count_digits", "ratio_overflow"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cost_too_large_to_report_names_the_arch(self, capsys, arch, fmt):
+        code, out, err = run_cli(capsys, "cost", "--arch", arch, "--format", fmt)
+        assert code == 2
+        assert f"the counts of architecture <{arch}> are too large to report" in err
+        assert out == ""
+        _no_traceback(err)
+
+    def test_nul_byte_in_config_path_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--config", "c\0.json")
+        assert code == 2
+        assert "cannot read config file c\0.json" in err
+        _no_traceback(err)
+
+    def test_nul_byte_in_measurements_path_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rank", "--config", DEMO_CONFIG, "--measurements", "m\0.ndjson"
+        )
+        assert code == 3
+        assert "cannot read measurements file m\0.ndjson" in err
+        _no_traceback(err)
+
+    def test_nul_byte_in_token_path_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "toy-forward", "t\0.txt", "--arch", "2,1,1,1")
+        assert code == 3
+        assert "cannot read token file t\0.txt" in err
+        _no_traceback(err)
+
+    def test_nul_byte_in_output_path_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "cost", "--arch", "2,1,1,1", "--output", "o\0.txt")
+        assert code == 2
+        assert "cannot write output file o\0.txt" in err
+        assert out == ""
+        _no_traceback(err)
+
+    @pytest.mark.parametrize("kind", ["measurements", "token"])
+    def test_undecodable_data_file_exits_3(self, tmp_path, capsys, kind):
+        path = tmp_path / "data"
+        path.write_bytes(b"\xff\xfe\n")
+        if kind == "measurements":
+            argv = ("rank", "--config", DEMO_CONFIG, "--measurements", str(path))
+        else:
+            argv = ("toy-forward", str(path), "--arch", "2,1,1,1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert f"cannot read {kind} file {path}" in err
+        assert out == ""
+        _no_traceback(err)
+
+    def test_toy_forward_takes_no_format(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["toy-forward", self._tokens(tmp_path), "--format", "text"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+
+class TestDocumentedExits:
+    """Error exits of the input checks, one case each."""
+
+    def _toy(self, capsys, tmp_path, text, *extra):
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text(text)
+        cfg = write_config(tmp_path / "c.json", arch=[2, 2, 8, 16], vocab=32, typepos=16, seq=2)
+        return run_cli(capsys, "toy-forward", str(tokens), "--config", cfg, *extra)
+
+    def test_ingested_mode_without_measurements_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rank", "--config", DEMO_CONFIG, "--set", "metric_mode=ingested"
+        )
+        assert code == 2
+        assert "ingested mode requires --measurements" in err
+        assert out == ""
+
+    def test_unreadable_measurements_file_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "absent.ndjson"
+        code, out, err = run_cli(
+            capsys, "rank", "--config", DEMO_CONFIG, "--measurements", str(missing)
+        )
+        assert code == 3
+        assert f"cannot read measurements file {missing}" in err
+        assert out == ""
+
+    def test_unreadable_token_file_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        code, out, err = run_cli(capsys, "toy-forward", str(missing), "--arch", "2,2,8,16")
+        assert code == 3
+        assert f"cannot read token file {missing}" in err
+        assert out == ""
+
+    def test_non_integer_token_line_exits_3(self, tmp_path, capsys):
+        code, out, err = self._toy(capsys, tmp_path, "1\n2\nthree\n4\n")
+        assert code == 3
+        assert "token file line 3: not an integer: 'three'" in err
+        assert out == ""
+
+    def test_blank_token_lines_are_skipped(self, tmp_path, capsys):
+        code, plain, _ = self._toy(capsys, tmp_path, "1\n2\n3\n4\n")
+        assert code == 0
+        code, spaced, _ = self._toy(capsys, tmp_path, "\n1\n\n2\n  \n3\n4\n\n")
+        assert code == 0
+        assert spaced == plain
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read config file"),
+            ("{", "is not valid JSON"),
+            ("[1, 2]", "must contain a JSON object"),
+        ],
+        ids=["missing", "invalid_json", "not_an_object"],
+    )
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "c.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_cli(capsys, "enumerate", "--config", str(path))
+        assert code == 2
+        assert f"{path}" in err
+        assert message in err
+        assert out == ""
+
+    def test_dotted_override_outside_error_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--set", "vocab.size=3")
+        assert code == 2
+        assert "unknown override key 'vocab.size'" in err
+        assert out == ""
+
+    def test_zero_layernorm_eps_exits_2(self, tmp_path, capsys):
+        code, out, err = self._toy(capsys, tmp_path, "1\n2\n", "--set", "layernorm_eps=0")
+        assert code == 2
+        assert "layernorm_eps must be positive" in err
+        assert out == ""

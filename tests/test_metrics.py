@@ -232,3 +232,24 @@ def test_measurement_round_trip_property(rows):
         for d, latency, error in rows
     ]
     assert parse_measurements(serialize_measurements(records)) == records
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(True, 2.0, 1.0), (1, True, 1.0), (1, 2.0, True)],
+    ids=["param_size", "latency", "error"],
+)
+def test_metric_triple_rejects_bools(values):
+    with pytest.raises(ValueError):
+        MetricTriple(*values)
+
+
+def test_measurement_arch_must_be_a_list_not_a_string():
+    line = '{"arch": "4,8,1024,768", "latency_s": 0.1, "error": 0.5, "trials": 1}'
+    with pytest.raises(DataError, match="line 1: 'arch' must be four integers"):
+        parse_measurements(line)
+
+
+def test_serialized_keys_are_the_record_schema():
+    line = serialize_measurements([MeasurementRecord(BORT, 0.308, 0.9, 6250)])
+    assert list(json.loads(line)) == ["arch", "latency_s", "error", "trials"]

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BORT, GRID_AXES, grid_space
+from subarch.config import parse_arch
 from subarch.errors import ConfigError
 from subarch.space import (
     ArchParams,
     EmbeddingConfig,
     SearchSpace,
+    arch_from_ints,
     enumerate_space,
     is_valid,
     require_valid,
@@ -155,3 +157,30 @@ def test_enumerate_properties(space):
 def test_stride_enumeration_is_subset(space, epsilon):
     subset = set(enumerate_space(stride_subsample(space, epsilon)))
     assert subset <= set(enumerate_space(space))
+
+
+class TestArchFromInts:
+    @pytest.mark.parametrize("value", [[4, 8, 1024, 768], (4, 8, 1024, 768)])
+    def test_four_ints(self, value):
+        assert arch_from_ints(value, "architecture", ConfigError) == BORT
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "4,8,1024,768",
+            [4, 8, 1024],
+            [4, 8, 1024, 768, 1],
+            [4, True, 1024, 768],
+            [4, 8, 1024.0, 768],
+        ],
+        ids=["string", "three", "five", "bool", "float"],
+    )
+    def test_anything_else_raises_the_given_error(self, value):
+        with pytest.raises(ValueError, match=r"^line 3: 'arch' must be four integers \(got "):
+            arch_from_ints(value, "line 3: 'arch'", ValueError)
+
+
+def test_parse_arch_splits_a_flag_string():
+    assert parse_arch("4,8,1024,768") == BORT
+    with pytest.raises(ConfigError, match="architecture must be four integers"):
+        parse_arch("4,8,1024")

@@ -415,3 +415,24 @@ class TestKdLoss:
     def test_weight_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="weight"):
             kd_loss(np.zeros((2, 3)), np.zeros((2, 3)), 0.0, weight=1.5)
+
+
+class TestInputChecks:
+    def test_forward_rejects_a_vector_of_tokens(self):
+        with pytest.raises(DataError, match=r"\(batch, sequence\) matrix"):
+            forward(ToyNet.build(SMALL), np.zeros(8, dtype=np.int64))
+
+    def test_forward_rejects_a_sequence_longer_than_the_position_table(self):
+        with pytest.raises(DataError, match="sequence length 17 exceeds the position table"):
+            forward(ToyNet.build(SMALL), np.zeros((1, 17), dtype=np.int64))
+
+    @pytest.mark.parametrize("which", ["scale", "shift"])
+    def test_layer_norm_rejects_a_mismatched_affine_pair(self, which):
+        pair = {"scale": np.ones(4), "shift": np.zeros(4)}
+        pair[which] = np.ones(3)
+        with pytest.raises(ValueError, match="scale and shift must match"):
+            layer_norm(np.zeros((2, 4)), pair["scale"], pair["shift"])
+
+    def test_kd_loss_rejects_a_negative_mlm_loss(self):
+        with pytest.raises(ValueError, match="mlm_loss must be non-negative"):
+            kd_loss(np.zeros((2, 3)), np.zeros((2, 3)), mlm_loss=-0.5)
