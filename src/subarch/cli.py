@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -296,14 +297,19 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
         seed=seed,
     )
     tokens = _read_tokens(args.tokens, emb.seq)
+    weight_bytes = param_count(arch, emb) * 8
+    does_not_fit = (
+        f"toy network {arch} does not fit in memory: its float64 weights alone"
+        f" take {_byte_size(weight_bytes)}"
+    )
+    # Weights beyond physical memory fail before the first allocation, not after the last.
+    if weight_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(does_not_fit)
     try:
         net = ToyNet.build(net_config)
         out, stats = forward_with_stats(net, tokens)
     except (MemoryError, ValueError) as exc:  # ValueError: numpy refuses a size past its limits
-        raise ConfigError(
-            f"toy network {arch} does not fit in memory: its float64 weights alone"
-            f" take {_byte_size(param_count(arch, emb) * 8)}"
-        ) from exc
+        raise ConfigError(does_not_fit) from exc
     doc = {
         "output_shape": list(out.shape),
         "min": float(out.min()),

@@ -87,7 +87,7 @@ def load_config(path: str | Path | None) -> dict:
     text = read_input(path, "config file", ConfigError)
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # bad syntax, or an integer longer than int() parses
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
@@ -115,6 +115,8 @@ def apply_overrides(settings: dict, pairs: Iterable[str]) -> dict:
             value = json.loads(raw_value)
         except ValueError:  # not JSON, or an integer too long to parse; the key's check names it
             value = raw_value
+        except RecursionError as exc:  # named here: the value is too long to echo
+            raise ConfigError(f"override {key!r} is nested too deeply to parse") from exc
         head, dot, rest = key.partition(".")
         if dot and head != "error":
             raise ConfigError(f"unknown override key {key!r}")

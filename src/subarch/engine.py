@@ -52,15 +52,10 @@ def w_coefficient(candidate: MetricTriple, maxpoint: MaxPoint) -> float:
     """Raw scalarizer value for one candidate; see the module docstring.
 
     This is the bare evaluation: callers apply the maximum-point exclusion
-    rule. Both latencies must carry the same unit tag; MetricTriple already
+    rule. Both latencies are in the run's one unit; MetricTriple already
     guarantees a finite, positive error.
     """
     t = maxpoint.metrics
-    if candidate.latency_unit != t.latency_unit:
-        raise ConfigError(
-            f"latency unit mismatch: candidate is {candidate.latency_unit!r},"
-            f" maximum point is {t.latency_unit!r}"
-        )
     return ((t.param_size - candidate.param_size) * (t.latency - candidate.latency)) / (
         t.param_size * t.latency * candidate.error
     )
@@ -209,28 +204,29 @@ def run_extraction(
     """Full pipeline: stride, enumerate, attach metrics, rank, wrap with provenance.
 
     Deterministic: identical inputs produce an identical report object and
-    byte-identical renderings.
+    byte-identical renderings. The metric mode fixes the latency unit of the
+    whole run, maximum point included; the header records it for the renderers.
     """
     if config.metric_mode == ANALYTIC:
-        provider = config.error_model.provider(config.emb)
+        error_of = config.error_model.error
         metric_map: Mapping[ArchParams, MetricTriple] = {
-            arch: analytic_metrics(arch, config.emb, provider) for arch in config.candidates
+            arch: analytic_metrics(arch, config.emb, error_of) for arch in config.candidates
         }
         error_source = config.error_model.describe()
-        latency_basis = "the closed-form FLOP count"
+        latency_unit, latency_basis = "flops", "the closed-form FLOP count"
     else:
         if measurements is None:
             raise ConfigError("ingested mode requires a measurement source")
         metric_map = measurements
         error_source = "ingested measurement records"
-        latency_basis = "measured seconds per sample"
+        latency_unit, latency_basis = "seconds_per_sample", "measured seconds per sample"
 
     result = rank_candidates(config, metric_map)
     t = config.maxpoint
     header = {
         "report": "optimal-subarchitecture ranking",
         "metric_mode": config.metric_mode,
-        "latency_unit": t.metrics.latency_unit,
+        "latency_unit": latency_unit,
         "epsilon": config.epsilon,
         "n_steps": config.n_steps,
         "maxpoint": {
@@ -254,14 +250,14 @@ def run_extraction(
 
 
 # The fields of a report row, in output order. _row_dict and the JSON row
-# templates both take their keys from here.
+# templates both take their keys from here. Every row repeats the run's unit.
 _ROW_FIELDS = ("arch", "param_size", "latency", "latency_unit", "error", "w_coefficient", "flags")
 
 
-def _row_dict(row: CandidateReport) -> dict:
+def _row_dict(row: CandidateReport, unit: str) -> dict:
     m = row.metrics
     values = (
-        list(row.arch.as_tuple()), m.param_size, m.latency, m.latency_unit, m.error,
+        list(row.arch.as_tuple()), m.param_size, m.latency, unit, m.error,
         row.w_coefficient, sorted(row.flags),
     )
     return dict(zip(_ROW_FIELDS, values))
@@ -297,26 +293,22 @@ _RANKED_ROW_JSON = _json_row_template(("rank", *_ROW_FIELDS))
 _EXCLUDED_ROW_JSON = "%.0s" + _json_row_template(_ROW_FIELDS)
 
 
-def _json_rows(rows: tuple[CandidateReport, ...], template: str) -> str:
+def _json_rows(rows: tuple[CandidateReport, ...], template: str, unit_json: str) -> str:
     """The JSON list of report rows, each written from `template` with no intermediate dict."""
     if not rows:
         return "[]"
     number = _json_number
-    strings: dict[str, str] = {}
     flag_lists: dict[frozenset[str], str] = {}
     items = []
     for row in rows:
         m = row.metrics
-        unit = strings.get(m.latency_unit)
-        if unit is None:
-            unit = strings[m.latency_unit] = json.dumps(m.latency_unit)
         flags = flag_lists.get(row.flags)
         if flags is None:
             flags = flag_lists[row.flags] = json.dumps(sorted(row.flags), indent=2).replace(
                 "\n", "\n      "
             )
         items.append(template % (
-            row.rank, *row.arch.as_tuple(), number(m.param_size), number(m.latency), unit,
+            row.rank, *row.arch.as_tuple(), number(m.param_size), number(m.latency), unit_json,
             number(m.error), number(row.w_coefficient), flags,
         ))
     return "[\n" + ",\n".join(items) + "\n  ]"
@@ -330,9 +322,10 @@ def render_json(report: ExtractionReport) -> str:
     and each excluded row _row_dict; a non-finite float raises ValueError.
     Only the small header goes through json.dumps.
     """
+    unit = json.dumps(report.header["latency_unit"])
     header = json.dumps(report.header, indent=2, allow_nan=False).replace("\n", "\n  ")
-    ranking = _json_rows(report.result.ranked, _RANKED_ROW_JSON)
-    excluded = _json_rows(report.result.excluded, _EXCLUDED_ROW_JSON)
+    ranking = _json_rows(report.result.ranked, _RANKED_ROW_JSON, unit)
+    excluded = _json_rows(report.result.excluded, _EXCLUDED_ROW_JSON, unit)
     return f'{{\n  "header": {header},\n  "ranking": {ranking},\n  "excluded": {excluded}\n}}'
 
 
@@ -348,9 +341,9 @@ _TEXT_COLUMNS = (
 )
 
 
-def _text_row(row: CandidateReport) -> list[str]:
+def _text_row(row: CandidateReport, unit: str) -> list[str]:
     """The cells of every column but rank, in _row_dict's order."""
-    arch, *values, flags = _row_dict(row).values()
+    arch, *values, flags = _row_dict(row, unit).values()
     return [*map(str, arch), *map(_format_cell, values), ",".join(flags) or "-"]
 
 
@@ -363,6 +356,7 @@ def _aligned(rows: list[list[str]]) -> list[str]:
 def render_text(report: ExtractionReport) -> str:
     """Human-readable rendering: provenance lines, then aligned columns."""
     header = dict(report.header)
+    unit = header["latency_unit"]
     lines = [f"# {header.pop('report')}"]
     lines += [f"# {key}: {value}" for key, value in header.items() if not isinstance(value, dict)]
     mp = header["maxpoint"]
@@ -375,11 +369,11 @@ def render_text(report: ExtractionReport) -> str:
 
     lines += _aligned(
         [list(_TEXT_COLUMNS)]
-        + [[str(row.rank), *_text_row(row)] for row in report.result.ranked]
+        + [[str(row.rank), *_text_row(row, unit)] for row in report.result.ranked]
     )
     lines.append(f"# excluded by maximum-point rule: {len(report.result.excluded)}")
     if report.result.excluded:
         lines += _aligned(
-            [list(_TEXT_COLUMNS[1:])] + [_text_row(row) for row in report.result.excluded]
+            [list(_TEXT_COLUMNS[1:])] + [_text_row(row, unit) for row in report.result.excluded]
         )
     return "\n".join(lines)

@@ -3,9 +3,10 @@
 A candidate is scored on three surrogates: parameter size, latency and error.
 Analytic mode derives the first two from the closed-form counts (latency in
 FLOPs); ingested mode reads measured seconds-per-sample records from a
-newline-delimited JSON file. The error surrogate is always a stand-in, there
-is no trained model behind it, so every report states which provider produced
-it. Latency values carry a unit tag and units are never mixed within a run.
+newline-delimited JSON file. The metric mode fixes the run's latency unit.
+The error surrogate is always a stand-in, there is no trained model behind
+it: in analytic mode it is `ErrorModel.error(param_size)`, a function of the
+parameter count alone, and every report states which model produced it.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from .costs import flop_count, param_count
 from .errors import ConfigError, DataError
 from .space import ArchParams, EmbeddingConfig, arch_from_ints, positive_int, require_valid
 
-SECONDS_PER_SAMPLE = "seconds_per_sample"
-FLOPS = "flops"
-LATENCY_UNITS = (SECONDS_PER_SAMPLE, FLOPS)
-
 _RECORD_KEYS = ("arch", "latency_s", "error", "trials")
-
-ErrorProvider = Callable[[ArchParams], float]
 
 
 def finite_positive(value: float, what: str, exc: type[Exception] = ValueError) -> None:
@@ -48,22 +43,17 @@ def finite_number(value, what: str) -> float:
 
 @dataclass(frozen=True, slots=True)
 class MetricTriple:
-    """Surrogate parameter size, latency (with unit) and error for one candidate."""
+    """Surrogate parameter size (an exact int of any size, or a finite float), latency and error."""
 
     param_size: float
     latency: float
     error: float
-    latency_unit: str = FLOPS
 
     def __post_init__(self) -> None:
-        if isinstance(self.param_size, bool) or not self.param_size >= 0:
-            raise ValueError(f"param_size must be non-negative (got {self.param_size})")
+        if isinstance(self.param_size, bool) or not 0 <= self.param_size < math.inf:
+            raise ValueError(f"param_size must be finite and non-negative (got {self.param_size})")
         finite_positive(self.latency, "latency")
         finite_positive(self.error, "error")
-        if self.latency_unit not in LATENCY_UNITS:
-            raise ValueError(
-                f"latency_unit must be one of {LATENCY_UNITS} (got {self.latency_unit!r})"
-            )
 
 
 @dataclass(frozen=True)
@@ -135,7 +125,7 @@ def parse_measurements(source: str | Iterable[str]) -> list[MeasurementRecord]:
             continue
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # also an integer too long for int(), not only bad syntax
+        except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a nesting
             raise DataError(f"measurement line {lineno}: invalid JSON: {exc}") from exc
         record = _record_from_obj(obj, lineno)
         if record.arch in first_line:
@@ -161,15 +151,9 @@ def build_metric_map(
     records: Iterable[MeasurementRecord], emb: EmbeddingConfig
 ) -> dict[ArchParams, MetricTriple]:
     """Key records, which name distinct architectures, filling in the closed-form param_size."""
-    out: dict[ArchParams, MetricTriple] = {}
-    for rec in records:
-        out[rec.arch] = MetricTriple(
-            param_size=param_count(rec.arch, emb),
-            latency=rec.latency,
-            error=rec.error,
-            latency_unit=SECONDS_PER_SAMPLE,
-        )
-    return out
+    return {
+        rec.arch: MetricTriple(param_count(rec.arch, emb), rec.latency, rec.error) for rec in records
+    }
 
 
 def ingest_measurements(
@@ -186,22 +170,22 @@ def _flops_triple(arch: ArchParams, param_size: int, error: float) -> MetricTrip
     beyond the float range is a ConfigError naming the architecture.
     """
     try:
-        return MetricTriple(param_size, flop_count(arch), error, FLOPS)
+        return MetricTriple(param_size, flop_count(arch), error)
     except OverflowError as exc:
         raise ConfigError(f"the FLOP count of architecture {arch} is too large for a float") from exc
 
 
 def analytic_metrics(
-    arch: ArchParams, emb: EmbeddingConfig, error_provider: ErrorProvider
+    arch: ArchParams, emb: EmbeddingConfig, error_of: Callable[[int], float]
 ) -> MetricTriple:
-    """Closed-form parameter and FLOP surrogates, plus the provider's error value.
+    """Closed-form parameter and FLOP surrogates, plus error_of(parameter count).
 
     param_count runs first: it raises ConfigError for an invalid architecture
-    before the provider is consulted.
+    before the error is asked for.
     """
     param_size = param_count(arch, emb)
     try:
-        error = error_provider(arch)
+        error = error_of(param_size)
     except Exception as exc:
         raise DataError(f"error provider failed for architecture {arch}: {exc}") from exc
     finite_positive(error, f"surrogate error for architecture {arch}", DataError)
@@ -210,7 +194,7 @@ def analytic_metrics(
 
 def synthetic_error(arch: ArchParams, emb: EmbeddingConfig, c0: float, c1: float) -> float:
     """Test-only error surrogate c0 + c1 / param_count: positive, shrinking with capacity."""
-    return SyntheticErrorModel(c0, c1).provider(emb)(arch)
+    return SyntheticErrorModel(c0, c1).error(param_count(arch, emb))
 
 
 @dataclass(frozen=True)
@@ -222,8 +206,8 @@ class ConstantErrorModel:
     def __post_init__(self) -> None:
         finite_positive(self.value, "constant error value", ConfigError)
 
-    def provider(self, emb: EmbeddingConfig) -> ErrorProvider:
-        return lambda arch: self.value
+    def error(self, param_size: int) -> float:
+        return self.value
 
     def describe(self) -> str:
         return f"constant({self.value:g})"
@@ -241,13 +225,15 @@ class SyntheticErrorModel:
         if not (math.isfinite(self.c1) and self.c1 >= 0):
             raise ConfigError(f"c1 must be finite and non-negative (got {self.c1})")
 
-    def provider(self, emb: EmbeddingConfig) -> ErrorProvider:
-        return lambda arch: self.c0 + self.c1 / param_count(arch, emb)
+    def error(self, param_size: int) -> float:
+        return self.c0 + self.c1 / param_size
 
     def describe(self) -> str:
         return f"synthetic(c0={self.c0:g}, c1={self.c1:g})"
 
 
+# Both models read the parameter count alone, which no head count changes,
+# so a candidate's error is the same for every head count.
 ErrorModel = ConstantErrorModel | SyntheticErrorModel
 
 

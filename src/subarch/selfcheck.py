@@ -108,11 +108,10 @@ def _random_ranking_instance(rng: np.random.Generator):
             param_size=float(rng.uniform(1.0, 100.0)),
             latency=float(rng.uniform(1.0, 100.0)),
             error=float(rng.uniform(0.05, 5.0)),
-            latency_unit=metrics.FLOPS,
         )
     maxpoint = metrics.MaxPoint(
         ArchParams(24, 16, 1024, 4096),
-        metrics.MetricTriple(200.0, 200.0, 1.0, metrics.FLOPS),
+        metrics.MetricTriple(200.0, 200.0, 1.0),
     )
     config = engine.SearchConfig(
         space=space,
@@ -167,7 +166,7 @@ def check_w_properties(seed: int = 71) -> CheckResult:
     rng = np.random.default_rng(seed)
     maxpoint = metrics.MaxPoint(
         ArchParams(24, 16, 1024, 4096),
-        metrics.MetricTriple(355361792, 3248293888, 1.0, metrics.FLOPS),
+        metrics.MetricTriple(355361792, 3248293888, 1.0),
     )
     t = maxpoint.metrics
     if engine.w_coefficient(t, maxpoint) != 0.0:
@@ -176,24 +175,22 @@ def check_w_properties(seed: int = 71) -> CheckResult:
         p = float(rng.uniform(1.0, t.param_size))
         lat = float(rng.uniform(1.0, t.latency))
         err = float(rng.uniform(0.01, 10.0))
-        triple = metrics.MetricTriple(p, lat, err, metrics.FLOPS)
+        triple = metrics.MetricTriple(p, lat, err)
         w = engine.w_coefficient(triple, maxpoint)
         if p < t.param_size and lat < t.latency and not w > 0:
             return _fail(name, f"trial {trial}: w not positive for sub-maximal candidate")
         scale = float(rng.uniform(0.1, 10.0))
         scaled = engine.w_coefficient(
-            metrics.MetricTriple(p * scale, lat, err, metrics.FLOPS),
+            metrics.MetricTriple(p * scale, lat, err),
             metrics.MaxPoint(
                 maxpoint.arch,
-                metrics.MetricTriple(t.param_size * scale, t.latency, 1.0, metrics.FLOPS),
+                metrics.MetricTriple(t.param_size * scale, t.latency, 1.0),
             ),
         )
         if abs(scaled - w) > 1e-9 * max(1.0, abs(w)):
             return _fail(name, f"trial {trial}: not invariant under parameter rescaling")
         error_scale = float(rng.uniform(0.1, 10.0))
-        rescaled = engine.w_coefficient(
-            metrics.MetricTriple(p, lat, err * error_scale, metrics.FLOPS), maxpoint
-        )
+        rescaled = engine.w_coefficient(metrics.MetricTriple(p, lat, err * error_scale), maxpoint)
         if abs(rescaled * error_scale - w) > 1e-9 * max(1.0, abs(w)):
             return _fail(name, f"trial {trial}: error rescaling does not divide w")
     return _ok(name, "zero at the maximum point, scale invariances, positivity")

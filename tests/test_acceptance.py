@@ -37,7 +37,6 @@ from subarch.engine import (
     w_coefficient,
 )
 from subarch.metrics import (
-    FLOPS,
     ConstantErrorModel,
     MaxPoint,
     MetricTriple,
@@ -158,7 +157,7 @@ def test_criterion_07_w_coefficient_property_suite():
                       " on 1000 random metric sets"):
         start = time.perf_counter()
         rng = np.random.default_rng(2024)
-        maxpoint = MaxPoint(ROBERTA_LARGE, MetricTriple(100.0, 100.0, 1.0, FLOPS))
+        maxpoint = MaxPoint(ROBERTA_LARGE, MetricTriple(100.0, 100.0, 1.0))
         t = maxpoint.metrics
 
         assert w_coefficient(t, maxpoint) == 0.0
@@ -166,20 +165,20 @@ def test_criterion_07_w_coefficient_property_suite():
         for _trial in range(300):
             p, lat = rng.uniform(1, 99, size=2)
             err, k = rng.uniform(0.05, 5.0), rng.uniform(0.1, 10.0)
-            triple = MetricTriple(p, lat, err, FLOPS)
+            triple = MetricTriple(p, lat, err)
             base = w_coefficient(triple, maxpoint)
             assert base > 0
             scaled_both = w_coefficient(
-                MetricTriple(p * k, lat, err, FLOPS),
-                MaxPoint(maxpoint.arch, MetricTriple(100.0 * k, 100.0, 1.0, FLOPS)),
+                MetricTriple(p * k, lat, err),
+                MaxPoint(maxpoint.arch, MetricTriple(100.0 * k, 100.0, 1.0)),
             )
             assert scaled_both == pytest.approx(base, rel=1e-9)
             scaled_latency = w_coefficient(
-                MetricTriple(p, lat * k, err, FLOPS),
-                MaxPoint(maxpoint.arch, MetricTriple(100.0, 100.0 * k, 1.0, FLOPS)),
+                MetricTriple(p, lat * k, err),
+                MaxPoint(maxpoint.arch, MetricTriple(100.0, 100.0 * k, 1.0)),
             )
             assert scaled_latency == pytest.approx(base, rel=1e-9)
-            rescaled_error = w_coefficient(MetricTriple(p, lat, err * k, FLOPS), maxpoint)
+            rescaled_error = w_coefficient(MetricTriple(p, lat, err * k), maxpoint)
             assert rescaled_error * k == pytest.approx(base, rel=1e-9)
 
         space = SearchSpace((2, 4), (1, 2), (2, 4), (1, 2))
@@ -194,7 +193,6 @@ def test_criterion_07_w_coefficient_property_suite():
                     float(rng.uniform(1, 120)),
                     float(rng.uniform(1, 120)),
                     float(rng.uniform(0.05, 5.0)),
-                    FLOPS,
                 )
                 for arch in archs
             }
@@ -211,9 +209,7 @@ def test_criterion_07_w_coefficient_property_suite():
 
             error_scale = float(rng.uniform(0.1, 10.0))
             rescaled_table = {
-                arch: MetricTriple(
-                    triple.param_size, triple.latency, triple.error * error_scale, FLOPS
-                )
+                arch: MetricTriple(triple.param_size, triple.latency, triple.error * error_scale)
                 for arch, triple in table.items()
             }
             rescaled = rank_candidates(config, rescaled_table)

@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -716,6 +718,34 @@ class TestMappedFailures:
         assert out == ""
         _no_traceback(err)
 
+    def test_override_nested_too_deeply_names_the_key(self, capsys):
+        value = "[" * 100_000 + "]" * 100_000
+        code, out, err = run_cli(capsys, "enumerate", "--set", f"epsilon={value}")
+        assert code == 2
+        assert err == "config error: override 'epsilon' is nested too deeply to parse\n"
+        assert out == ""
+
+    def test_toy_net_beyond_physical_memory_exits_2_before_building(self, tmp_path):
+        # Each of the 2e400 layers is tiny, so building would allocate until memory
+        # ran out. The child caps its own address space in case the check is missing.
+        depth = "2" + "0" * 400
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from subarch.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["toy-forward", self._tokens(tmp_path), "--arch", f"{depth},1,1,1",
+                *self.TOY_SETTINGS]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=20,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"toy network <{depth},1,1,1> does not fit in memory" in proc.stderr
+        assert "more than 2**1000 bytes" in proc.stderr
+        assert proc.stdout == ""
+
     def test_toy_forward_takes_no_format(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["toy-forward", self._tokens(tmp_path), "--format", "text"])
@@ -775,8 +805,9 @@ class TestDocumentedExits:
             (None, "cannot read config file"),
             ("{", "is not valid JSON"),
             ("[1, 2]", "must contain a JSON object"),
+            ("[" * 100_000 + "]" * 100_000, "is not valid JSON: maximum recursion depth"),
         ],
-        ids=["missing", "invalid_json", "not_an_object"],
+        ids=["missing", "invalid_json", "not_an_object", "nested_too_deeply"],
     )
     def test_bad_config_file_exits_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "c.json"
@@ -799,3 +830,55 @@ class TestDocumentedExits:
         assert code == 2
         assert "layernorm_eps must be positive" in err
         assert out == ""
+
+
+# A grid whose ingested run both ranks and excludes: <4,16,1024,768> is
+# slower than the maximum point, so the maximum-point rule excludes it.
+_PINNED_GRID = {
+    "depths": [4], "heads": [8, 16], "hiddens": [1024], "intermediates": [512, 768], "epsilon": 1,
+}
+_PINNED_RECORDS = (
+    '{"arch": [24, 16, 1024, 4096], "latency_s": 6.17, "error": 1.0, "trials": 6250}\n'
+    '{"arch": [4, 8, 1024, 512], "latency_s": 0.318, "error": 0.5, "trials": 6250}\n'
+    '{"arch": [4, 8, 1024, 768], "latency_s": 0.308, "error": 1.0, "trials": 6250}\n'
+    '{"arch": [4, 16, 1024, 512], "latency_s": 0.314, "error": 2.0, "trials": 6250}\n'
+    '{"arch": [4, 16, 1024, 768], "latency_s": 7.5, "error": 1.0, "trials": 6250}\n'
+)
+_SYNTHETIC = ("--set", "error.mode=synthetic", "--set", "error.c0=0.05", "--set", "error.c1=3e7")
+
+
+class TestPinnedReports:
+    """sha256 of `rank` stdout, recorded before the latency unit became a run-level field.
+
+    A refactor of the metric, scoring or rendering code must leave every byte
+    of these reports as it was.
+    """
+
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ((), "9404a2e21f9552e21917b6601b433c382d324bf30e19bd0212dd0e934423f5eb"),
+            (("--format", "json"), "06033ff3d6267c2a4b4ea2c5a6fa7b7dbc79bf900e3d180d7e595322596736d8"),
+            ((*_SYNTHETIC, "--top-k", "5", "--format", "json"), "394240097d27138f2742d56d38e373c2027ba8f731df51d643cfe903f7abf3a3"),
+        ],
+        ids=["text", "json", "synthetic_top_5_json"],
+    )
+    def test_demo_grid(self, capsys, extra, digest):
+        code, out, err = run_cli(capsys, "rank", "--config", DEMO_CONFIG, *extra)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [("text", "902e8149785eae54120ca763816b93ebe6c64d3130b335876d69364fb211577c"), ("json", "f4b30fbf74ca390cfb406ecc4ce8b84f2d56b281cc7f5538210ba5f512fbdb34")],
+    )
+    def test_ingested_with_an_excluded_row(self, tmp_path, capsys, fmt, digest):
+        cfg = write_config(tmp_path / "c.json", **_PINNED_GRID)
+        records = tmp_path / "m.ndjson"
+        records.write_text(_PINNED_RECORDS)
+        code, out, err = run_cli(
+            capsys, "rank", "--config", cfg, "--measurements", str(records), "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert "exceeds_maxpoint_latency" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -24,9 +24,6 @@ from subarch.engine import (
 )
 from subarch.errors import ConfigError, DataError
 from subarch.metrics import (
-    FLOPS,
-    LATENCY_UNITS,
-    SECONDS_PER_SAMPLE,
     ConstantErrorModel,
     MaxPoint,
     MetricTriple,
@@ -35,8 +32,8 @@ from subarch.metrics import (
 from subarch.space import ArchParams, SearchSpace, enumerate_space
 
 
-def make_maxpoint(param_size=100.0, latency=10.0, unit=FLOPS):
-    return MaxPoint(ROBERTA_LARGE, MetricTriple(param_size, latency, 1.0, unit))
+def make_maxpoint(param_size=100.0, latency=10.0):
+    return MaxPoint(ROBERTA_LARGE, MetricTriple(param_size, latency, 1.0))
 
 
 class TestWCoefficient:
@@ -46,43 +43,39 @@ class TestWCoefficient:
 
     def test_worked_example(self):
         # (100-50)*(10-5) / (100*10*0.5) = 0.5
-        value = w_coefficient(MetricTriple(50, 5, 0.5, FLOPS), make_maxpoint())
+        value = w_coefficient(MetricTriple(50, 5, 0.5), make_maxpoint())
         assert value == pytest.approx(0.5)
 
     def test_super_maximal_raw_value_is_spuriously_positive(self):
         # Doubling both metrics flips both savings terms negative; the raw
         # product is +1, which is why ranking excludes such candidates.
-        value = w_coefficient(MetricTriple(200, 20, 1.0, FLOPS), make_maxpoint())
+        value = w_coefficient(MetricTriple(200, 20, 1.0), make_maxpoint())
         assert value == pytest.approx(1.0)
 
-    def test_unit_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="unit"):
-            w_coefficient(MetricTriple(50, 5, 0.5, SECONDS_PER_SAMPLE), make_maxpoint())
-
     def test_decreasing_in_error(self):
-        low = w_coefficient(MetricTriple(50, 5, 0.5, FLOPS), make_maxpoint())
-        high = w_coefficient(MetricTriple(50, 5, 2.0, FLOPS), make_maxpoint())
+        low = w_coefficient(MetricTriple(50, 5, 0.5), make_maxpoint())
+        high = w_coefficient(MetricTriple(50, 5, 2.0), make_maxpoint())
         assert high < low
 
 
 class TestExceedFlags:
     def test_no_flags_when_within(self):
-        assert exceed_flags(MetricTriple(50, 5, 1.0, FLOPS), make_maxpoint()) == frozenset()
+        assert exceed_flags(MetricTriple(50, 5, 1.0), make_maxpoint()) == frozenset()
 
     def test_params_flag(self):
-        flags = exceed_flags(MetricTriple(150, 5, 1.0, FLOPS), make_maxpoint())
+        flags = exceed_flags(MetricTriple(150, 5, 1.0), make_maxpoint())
         assert flags == {EXCEEDS_PARAMS}
 
     def test_latency_flag(self):
-        flags = exceed_flags(MetricTriple(50, 15, 1.0, FLOPS), make_maxpoint())
+        flags = exceed_flags(MetricTriple(50, 15, 1.0), make_maxpoint())
         assert flags == {EXCEEDS_LATENCY}
 
     def test_both_flags(self):
-        flags = exceed_flags(MetricTriple(150, 15, 1.0, FLOPS), make_maxpoint())
+        flags = exceed_flags(MetricTriple(150, 15, 1.0), make_maxpoint())
         assert flags == {EXCEEDS_PARAMS, EXCEEDS_LATENCY}
 
     def test_equality_is_not_exceeding(self):
-        assert exceed_flags(MetricTriple(100, 10, 1.0, FLOPS), make_maxpoint()) == frozenset()
+        assert exceed_flags(MetricTriple(100, 10, 1.0), make_maxpoint()) == frozenset()
 
 
 def tiny_config(maxpoint, space=None, **kwargs):
@@ -100,9 +93,9 @@ class TestRankCandidates:
     def test_tie_break_prefers_fewer_heads(self):
         maxpoint = make_maxpoint()
         table = {
-            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 0.5, FLOPS),  # w = 0.5
-            ArchParams(2, 4, 8, 4): MetricTriple(40, 5, 1.0, FLOPS),  # w = 0.3
-            ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 1.0, FLOPS),  # w = 0.3
+            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 0.5),  # w = 0.5
+            ArchParams(2, 4, 8, 4): MetricTriple(40, 5, 1.0),  # w = 0.3
+            ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 1.0),  # w = 0.3
         }
         result = rank_candidates(tiny_config(maxpoint), table)
         ranked = [(row.rank, row.arch.heads, row.w_coefficient) for row in result.ranked]
@@ -111,9 +104,9 @@ class TestRankCandidates:
     def test_exceeding_candidates_go_to_appendix(self):
         maxpoint = make_maxpoint()
         table = {
-            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0, FLOPS),
-            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0, FLOPS),
-            ArchParams(2, 8, 8, 4): MetricTriple(50, 15, 1.0, FLOPS),
+            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0),
+            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0),
+            ArchParams(2, 8, 8, 4): MetricTriple(50, 15, 1.0),
         }
         result = rank_candidates(tiny_config(maxpoint), table)
         assert [row.arch.heads for row in result.ranked] == [2]
@@ -125,25 +118,25 @@ class TestRankCandidates:
     def test_all_excluded_is_an_error(self):
         maxpoint = make_maxpoint()
         table = {
-            ArchParams(2, 2, 8, 4): MetricTriple(150, 5, 1.0, FLOPS),
-            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0, FLOPS),
-            ArchParams(2, 8, 8, 4): MetricTriple(150, 5, 1.0, FLOPS),
+            ArchParams(2, 2, 8, 4): MetricTriple(150, 5, 1.0),
+            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0),
+            ArchParams(2, 8, 8, 4): MetricTriple(150, 5, 1.0),
         }
         with pytest.raises(DataError, match="no candidates remain"):
             rank_candidates(tiny_config(maxpoint), table)
 
     def test_missing_metric_entry_names_arch(self):
         maxpoint = make_maxpoint()
-        table = {ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0, FLOPS)}
+        table = {ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0)}
         with pytest.raises(DataError, match=r"<2,4,8,4>"):
             rank_candidates(tiny_config(maxpoint), table)
 
     def test_top_k_slices_after_ranking(self):
         maxpoint = make_maxpoint()
         table = {
-            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 0.5, FLOPS),
-            ArchParams(2, 4, 8, 4): MetricTriple(40, 5, 1.0, FLOPS),
-            ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 1.0, FLOPS),
+            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 0.5),
+            ArchParams(2, 4, 8, 4): MetricTriple(40, 5, 1.0),
+            ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 1.0),
         }
         result = rank_candidates(tiny_config(maxpoint, top_k=2), table)
         assert [row.rank for row in result.ranked] == [1, 2]
@@ -156,7 +149,7 @@ class TestRankCandidates:
             ArchParams(d, a, 8, i) for d in (2, 4) for a in (2, 4) for i in (4, 8)
         ]
         table = {
-            arch: MetricTriple(10.0 + k, 1.0 + k / 10.0, 1.0 + (k % 3), FLOPS)
+            arch: MetricTriple(10.0 + k, 1.0 + k / 10.0, 1.0 + (k % 3))
             for k, arch in enumerate(archs)
         }
         result = rank_candidates(tiny_config(maxpoint, space=space), table)
@@ -250,9 +243,9 @@ class TestRunExtraction:
     def test_render_text_has_columns_and_appendix(self):
         maxpoint = make_maxpoint()
         table = {
-            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0, FLOPS),
-            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0, FLOPS),
-            ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 1.0, FLOPS),
+            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0),
+            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0),
+            ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 1.0),
         }
         report = run_extraction(tiny_config(maxpoint), table)
         text = render_text(report)
@@ -262,15 +255,15 @@ class TestRunExtraction:
 
     def test_render_text_golden(self):
         table = {
-            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0, FLOPS),
-            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0, FLOPS),
-            ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 0.5, FLOPS),
+            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0),
+            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0),
+            ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 0.5),
         }
         report = run_extraction(tiny_config(make_maxpoint()), table)
         assert render_text(report) == "\n".join([
             "# optimal-subarchitecture ranking",
             "# metric_mode: ingested",
-            "# latency_unit: flops",
+            "# latency_unit: seconds_per_sample",
             "# epsilon: 1",
             "# n_steps: 3",
             "# error_provider: ingested measurement records",
@@ -283,27 +276,30 @@ class TestRunExtraction:
             "# candidates_excluded: 1",
             "# maxpoint: arch=<24,16,1024,4096> param_size=100.0 latency=10.0",
             "# embedding: vocab=50265 typepos=514 seq=512 batch=1024",
-            "rank  depth  heads  hidden  inter  param_size  latency   unit  error  w_coefficient  flags",
-            "   1      2      8       8      4          40        5  flops    0.5            0.6      -",
-            "   2      2      2       8      4          50        5  flops    1.0           0.25      -",
+            "rank  depth  heads  hidden  inter  param_size  latency"
+            "                unit  error  w_coefficient  flags",
+            "   1      2      8       8      4          40        5"
+            "  seconds_per_sample    0.5            0.6      -",
+            "   2      2      2       8      4          50        5"
+            "  seconds_per_sample    1.0           0.25      -",
             "# excluded by maximum-point rule: 1",
-            "depth  heads  hidden  inter  param_size  latency   unit  error  w_coefficient"
-            "                    flags",
-            "    2      4       8      4         150        5  flops    1.0          -0.25"
-            "  exceeds_maxpoint_params",
+            "depth  heads  hidden  inter  param_size  latency                unit  error"
+            "  w_coefficient                    flags",
+            "    2      4       8      4         150        5  seconds_per_sample    1.0"
+            "          -0.25  exceeds_maxpoint_params",
         ])
 
     def test_render_json_golden(self):
         table = {
-            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0, FLOPS),
-            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0, FLOPS),
-            ArchParams(2, 8, 8, 4): MetricTriple(40, 5.5, 0.5, FLOPS),
+            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0),
+            ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0),
+            ArchParams(2, 8, 8, 4): MetricTriple(40, 5.5, 0.5),
         }
 
         def row(arch, param_size, latency, error, w, flags=()):
             return {
                 "arch": arch, "param_size": param_size, "latency": latency,
-                "latency_unit": "flops", "error": error, "w_coefficient": w,
+                "latency_unit": "seconds_per_sample", "error": error, "w_coefficient": w,
                 "flags": list(flags),
             }
 
@@ -311,7 +307,7 @@ class TestRunExtraction:
             header = {
                 "report": "optimal-subarchitecture ranking",
                 "metric_mode": "ingested",
-                "latency_unit": "flops",
+                "latency_unit": "seconds_per_sample",
                 "epsilon": 1,
                 "n_steps": 3,
                 "maxpoint": {"arch": [24, 16, 1024, 4096], "param_size": 100.0, "latency": 10.0},
@@ -361,15 +357,15 @@ scales = st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False)
 @given(positive, positive, positive, positive, errors, scales)
 def test_w_scale_invariance(t_params, t_latency, f_params, f_latency, error, k):
     base = w_coefficient(
-        MetricTriple(f_params, f_latency, error, FLOPS),
+        MetricTriple(f_params, f_latency, error),
         make_maxpoint(t_params, t_latency),
     )
     param_scaled = w_coefficient(
-        MetricTriple(f_params * k, f_latency, error, FLOPS),
+        MetricTriple(f_params * k, f_latency, error),
         make_maxpoint(t_params * k, t_latency),
     )
     latency_scaled = w_coefficient(
-        MetricTriple(f_params, f_latency * k, error, FLOPS),
+        MetricTriple(f_params, f_latency * k, error),
         make_maxpoint(t_params, t_latency * k),
     )
     tolerance = 1e-9 * max(1.0, abs(base))
@@ -381,8 +377,8 @@ def test_w_scale_invariance(t_params, t_latency, f_params, f_latency, error, k):
 @given(positive, positive, positive, positive, errors, scales)
 def test_w_inverse_error_scaling(t_params, t_latency, f_params, f_latency, error, k):
     maxpoint = make_maxpoint(t_params, t_latency)
-    base = w_coefficient(MetricTriple(f_params, f_latency, error, FLOPS), maxpoint)
-    rescaled = w_coefficient(MetricTriple(f_params, f_latency, error * k, FLOPS), maxpoint)
+    base = w_coefficient(MetricTriple(f_params, f_latency, error), maxpoint)
+    rescaled = w_coefficient(MetricTriple(f_params, f_latency, error * k), maxpoint)
     assert abs(rescaled * k - base) <= 1e-9 * max(1.0, abs(base))
 
 
@@ -394,7 +390,7 @@ def oracle_json(report: ExtractionReport) -> str:
             "arch": list(r.arch.as_tuple()),
             "param_size": r.metrics.param_size,
             "latency": r.metrics.latency,
-            "latency_unit": r.metrics.latency_unit,
+            "latency_unit": report.header["latency_unit"],
             "error": r.metrics.error,
             "w_coefficient": r.w_coefficient,
             "flags": sorted(r.flags),
@@ -416,7 +412,6 @@ triples = st.builds(
     param_size=st.integers(0, 10**40) | st.floats(min_value=0.0, allow_infinity=False),
     latency=st.integers(1, 10**40) | positive_float,
     error=positive_float | st.integers(1, 10**6),
-    latency_unit=st.sampled_from(LATENCY_UNITS),
 )
 flag_sets = st.frozensets(st.sampled_from([EXCEEDS_PARAMS, EXCEEDS_LATENCY]))
 
@@ -437,6 +432,7 @@ def reports(draw):
     )
     header = {
         "report": "optimal-subarchitecture ranking",
+        "latency_unit": draw(st.sampled_from(["flops", "seconds_per_sample"])),
         "maxpoint": {"arch": [24, 16, 1024, 4096], "param_size": draw(finite), "latency": 1.5},
         "note": draw(st.text(max_size=12)),
         "top_k": draw(st.none() | st.integers(1, 10)),
@@ -452,25 +448,24 @@ class TestRenderJson:
         assert render_json(report) == oracle_json(report)
 
     def test_covers_every_flag_count_and_empty_lists(self):
-        triple = MetricTriple(5, 2.5, 1.0, FLOPS)
+        triple = MetricTriple(5, 2.5, 1.0)
         arch = ArchParams(2, 2, 8, 4)
         excluded = tuple(
             CandidateReport(arch, triple, -0.25, None, frozenset(flags))
             for flags in ((), (EXCEEDS_PARAMS,), (EXCEEDS_LATENCY, EXCEEDS_PARAMS))
         )
         for ranked, rows in (((), ()), ((CandidateReport(arch, triple, 0.1, 1),), excluded)):
-            report = ExtractionReport({"top_k": None}, RankingResult(ranked, rows, len(ranked), 3))
+            report = ExtractionReport(
+                {"latency_unit": "flops", "top_k": None}, RankingResult(ranked, rows, len(ranked), 3)
+            )
             assert render_json(report) == oracle_json(report)
 
     @pytest.mark.parametrize(
         "row",
-        [
-            CandidateReport(ArchParams(2, 2, 8, 4), MetricTriple(5, 2, 1.0), float("nan"), 1),
-            CandidateReport(ArchParams(2, 2, 8, 4), MetricTriple(float("inf"), 2, 1.0), 0.5, 1),
-        ],
-        ids=["nan_w", "infinite_param_size"],
+        [CandidateReport(ArchParams(2, 2, 8, 4), MetricTriple(5, 2, 1.0), float("nan"), 1)],
+        ids=["nan_w"],
     )
     def test_non_finite_float_raises(self, row):
-        report = ExtractionReport({}, RankingResult((row,), (), 1, 1))
+        report = ExtractionReport({"latency_unit": "flops"}, RankingResult((row,), (), 1, 1))
         with pytest.raises(ValueError, match="not JSON compliant"):
             render_json(report)
