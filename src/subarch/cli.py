@@ -7,10 +7,11 @@ verification check. Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import re
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import config as config_mod
@@ -109,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--arch", metavar="D,A,H,I", help="architecture tuple")
     p_toy.add_argument("--seed", type=int, help="weight seed")
     p_toy.set_defaults(func=_cmd_toy_forward)
+    for p_arch in (p_cost, p_toy):  # as from Python 3.13, read '--arch -2,8,1024,768' as a value
+        p_arch._negative_number_matcher = re.compile(r"-\.?\d")
 
     p_verify = sub.add_parser("verify", help="run the cross-module consistency checks")
     p_verify.set_defaults(func=_cmd_verify)
@@ -122,13 +125,19 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
-    if getattr(args, "output", None):
-        try:
-            Path(args.output).write_text(text + "\n")
-        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            raise ConfigError(f"cannot write output file {args.output}: {exc}") from exc
-    else:
-        print(text)
+    """The one writer of command output: text and a newline to --output, else stdout."""
+    path = getattr(args, "output", None)
+    try:
+        with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
+            out.write(text)  # two writes, as print makes: text + "\n" would copy the report
+            out.write("\n")
+            out.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        if not path:  # the interpreter flushes stdout again at exit: point fd 1 at devnull
+            with contextlib.suppress(OSError, ValueError):  # an in-process stream has no fd
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = f"file {path}" if path else "to stdout"
+        raise ConfigError(f"cannot write output {where}: {exc}") from exc
 
 
 def _arch_from(args: argparse.Namespace, settings: dict) -> ArchParams:
@@ -146,25 +155,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     space = stride_subsample(config_mod.space_from(settings), settings["epsilon"])
     archs = enumerate_space(space)
     if args.format == "json":
-        _emit(
-            json.dumps(
-                {"count": len(archs), "candidates": [list(a.as_tuple()) for a in archs]},
-                indent=2,
-            ),
-            args,
-        )
+        doc = {"count": len(archs), "candidates": [list(a.as_tuple()) for a in archs]}
+        text = json.dumps(doc, indent=2)
     else:
         lines = ["depth heads hidden intermediate"]
         lines += [" ".join(str(v) for v in a.as_tuple()) for a in archs]
         lines.append(f"count: {len(archs)}")
-        _emit("\n".join(lines), args)
+        text = "\n".join(lines)
+    _emit(text, args)
     return 0
-
-
-def _cost_note(arch, emb) -> str | None:
-    if arch.as_tuple() == _DISCREPANCY_ARCH and emb.vocab == 50265 and emb.typepos == 514:
-        return _DISCREPANCY_NOTE
-    return None
 
 
 def _cost_text(arch: ArchParams, emb: EmbeddingConfig, fmt: str) -> str:
@@ -179,9 +178,8 @@ def _cost_text(arch: ArchParams, emb: EmbeddingConfig, fmt: str) -> str:
         "encoder_param_ratio": dominance.encoder_param_ratio,
         "encoder_flop_ratio": dominance.encoder_flop_ratio,
     }
-    note = _cost_note(arch, emb)
-    if note:
-        doc["note"] = note
+    if arch.as_tuple() == _DISCREPANCY_ARCH and (emb.vocab, emb.typepos) == (50265, 514):
+        doc["note"] = _DISCREPANCY_NOTE
     if fmt == "json":
         return json.dumps(doc, indent=2)
     lines = [
@@ -196,8 +194,8 @@ def _cost_text(arch: ArchParams, emb: EmbeddingConfig, fmt: str) -> str:
         "dominance (encoder / embedding+pooler):"
         f" params={dominance.encoder_param_ratio!r} flops={dominance.encoder_flop_ratio!r}"
     )
-    if note:
-        lines.append(f"note: {note}")
+    if "note" in doc:
+        lines.append(f"note: {doc['note']}")
     return "\n".join(lines)
 
 
@@ -255,11 +253,10 @@ def _read_tokens(path: str, seq: int) -> np.ndarray:
     text = config_mod.read_input(path, "token file", DataError)
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
-            values.append(int(line))
+            values.append(config_mod.int_from_text(line))
         except ValueError as exc:
             raise DataError(f"token file line {lineno}: not an integer: {line!r}") from exc
     if not values or len(values) % seq != 0:
@@ -326,9 +323,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from . import selfcheck
 
     results = selfcheck.run_all()
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.detail}")
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    _emit("\n".join(lines), args)
     failures = [r for r in results if not r.passed]
     if failures:
         raise VerificationError(failures[0].detail)

@@ -31,6 +31,7 @@ Command-line flags override file values, which override the defaults below.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
@@ -139,12 +140,24 @@ def apply_overrides(settings: dict, pairs: Iterable[str]) -> dict:
     return out
 
 
+# An integer in text: an optional '-' then ASCII digits. int() alone also
+# reads '1_0', '+1' and other scripts' digits, such as '٣'.
+_INT_TEXT = re.compile(r"-?[0-9]+")
+
+
+def int_from_text(text: str) -> int:
+    """text without surrounding whitespace as an int; ValueError unless it matches _INT_TEXT."""
+    if not _INT_TEXT.fullmatch(text := text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)  # also ValueError past 4,300 digits
+
+
 def parse_arch(value) -> ArchParams:
     """Accept [D,A,H,I] lists (config) or 'D,A,H,I' strings (flags)."""
     if isinstance(value, str):
         parts = value.split(",")
         try:
-            value = [int(part) for part in parts]
+            value = [int_from_text(part) for part in parts]
         except ValueError as exc:
             raise ConfigError(f"architecture {value!r} must be four comma-separated integers") from exc
     return arch_from_ints(value, "architecture", ConfigError)

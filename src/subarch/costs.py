@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SubarchError
 from .space import ArchParams, EmbeddingConfig, require_valid
 
 # The type-lookup table is carried with three rows: together with the
@@ -106,17 +105,6 @@ class CostBreakdown:
     encoder_flops: int
     pooler_flops: int
     total_flops: int
-
-    def __post_init__(self) -> None:
-        if self.total_params != self.embedding_params + self.encoder_params + self.pooler_params:
-            raise SubarchError("parameter components do not sum to the total")
-        if self.total_flops != self.embedding_flops + self.encoder_flops + self.pooler_flops:
-            raise SubarchError("FLOP components do not sum to the total")
-        if min(
-            self.embedding_params, self.encoder_params, self.pooler_params,
-            self.embedding_flops, self.encoder_flops, self.pooler_flops,
-        ) < 0:
-            raise SubarchError("cost components must be non-negative")
 
 
 def cost_breakdown(arch: ArchParams, emb: EmbeddingConfig) -> CostBreakdown:

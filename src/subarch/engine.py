@@ -249,18 +249,10 @@ def run_extraction(
     return ExtractionReport(header=header, result=result)
 
 
-# The fields of a report row, in output order. _row_dict and the JSON row
-# templates both take their keys from here. Every row repeats the run's unit.
+# The fields of a report row, in output order: the JSON row templates take
+# their keys from here, and _text_row writes its cells in the same order.
+# Every row repeats the run's unit.
 _ROW_FIELDS = ("arch", "param_size", "latency", "latency_unit", "error", "w_coefficient", "flags")
-
-
-def _row_dict(row: CandidateReport, unit: str) -> dict:
-    m = row.metrics
-    values = (
-        list(row.arch.as_tuple()), m.param_size, m.latency, unit, m.error,
-        row.w_coefficient, sorted(row.flags),
-    )
-    return dict(zip(_ROW_FIELDS, values))
 
 
 def _json_number(value) -> str:
@@ -318,8 +310,9 @@ def render_json(report: ExtractionReport) -> str:
     """Machine-readable rendering; byte-deterministic for identical reports.
 
     The text is exactly json.dumps(doc, indent=2, allow_nan=False) of
-    {"header", "ranking", "excluded"}, with each ranked row {"rank", **_row_dict}
-    and each excluded row _row_dict; a non-finite float raises ValueError.
+    {"header", "ranking", "excluded"}, with each ranked row keyed "rank" then
+    _ROW_FIELDS and each excluded row keyed _ROW_FIELDS; a non-finite float
+    raises ValueError.
     Only the small header goes through json.dumps.
     """
     unit = json.dumps(report.header["latency_unit"])
@@ -329,12 +322,6 @@ def render_json(report: ExtractionReport) -> str:
     return f'{{\n  "header": {header},\n  "ranking": {ranking},\n  "excluded": {excluded}\n}}'
 
 
-def _format_cell(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 _TEXT_COLUMNS = (
     "rank", "depth", "heads", "hidden", "inter",
     "param_size", "latency", "unit", "error", "w_coefficient", "flags",
@@ -342,9 +329,10 @@ _TEXT_COLUMNS = (
 
 
 def _text_row(row: CandidateReport, unit: str) -> list[str]:
-    """The cells of every column but rank, in _row_dict's order."""
-    arch, *values, flags = _row_dict(row, unit).values()
-    return [*map(str, arch), *map(_format_cell, values), ",".join(flags) or "-"]
+    """The cells of every column but rank, in _ROW_FIELDS order."""
+    m = row.metrics
+    values = (*row.arch.as_tuple(), m.param_size, m.latency, unit, m.error, row.w_coefficient)
+    return [*map(str, values), ",".join(sorted(row.flags)) or "-"]
 
 
 def _aligned(rows: list[list[str]]) -> list[str]:
@@ -360,11 +348,8 @@ def render_text(report: ExtractionReport) -> str:
     lines = [f"# {header.pop('report')}"]
     lines += [f"# {key}: {value}" for key, value in header.items() if not isinstance(value, dict)]
     mp = header["maxpoint"]
-    lines.append(
-        "# maxpoint: arch=<{},{},{},{}> param_size={} latency={}".format(
-            *mp["arch"], _format_cell(mp["param_size"]), _format_cell(mp["latency"])
-        )
-    )
+    arch = ",".join(map(str, mp["arch"]))
+    lines.append(f"# maxpoint: arch=<{arch}> param_size={mp['param_size']} latency={mp['latency']}")
     lines.append("# embedding: " + " ".join(f"{k}={v}" for k, v in header["embedding"].items()))
 
     lines += _aligned(

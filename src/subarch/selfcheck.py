@@ -23,14 +23,6 @@ class CheckResult:
     detail: str
 
 
-def _ok(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, True, detail)
-
-
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
-
-
 # Small valid configurations exercising different depths, head counts and widths.
 TOY_CONFIGS: tuple[tuple[ArchParams, EmbeddingConfig], ...] = (
     (ArchParams(2, 1, 1, 1), EmbeddingConfig(1, 1, 1, 1)),
@@ -55,11 +47,10 @@ def check_param_formula_vs_shape_oracle() -> CheckResult:
         expected = costs.shape_oracle_params(arch, emb)
         got = costs.param_count(arch, emb)
         if got != expected:
-            return _fail(
-                name,
-                f"counterexample {arch}: formula {got} != shape oracle {expected}",
+            return CheckResult(
+                name, False, f"counterexample {arch}: formula {got} != shape oracle {expected}"
             )
-    return _ok(name, f"exact agreement on {len(cases)} configurations")
+    return CheckResult(name, True, f"exact agreement on {len(cases)} configurations")
 
 
 def check_flop_formula_vs_layer_oracle() -> CheckResult:
@@ -69,10 +60,10 @@ def check_flop_formula_vs_layer_oracle() -> CheckResult:
         expected = costs.flop_oracle(arch)
         got = costs.flop_count(arch)
         if got != expected:
-            return _fail(
-                name, f"counterexample {arch}: formula {got} != layer oracle {expected}"
+            return CheckResult(
+                name, False, f"counterexample {arch}: formula {got} != layer oracle {expected}"
             )
-    return _ok(name, f"exact agreement on {len(archs)} configurations")
+    return CheckResult(name, True, f"exact agreement on {len(archs)} configurations")
 
 
 def check_head_invariance() -> CheckResult:
@@ -85,12 +76,12 @@ def check_head_invariance() -> CheckResult:
             if costs.param_count(arch, REFERENCE_EMBEDDING) != costs.param_count(
                 alt, REFERENCE_EMBEDDING
             ):
-                return _fail(name, f"parameter count differs between {arch} and {alt}")
+                return CheckResult(name, False, f"parameter count differs between {arch} and {alt}")
             if costs.flop_count(arch) != costs.flop_count(alt):
-                return _fail(name, f"FLOP count differs between {arch} and {alt}")
+                return CheckResult(name, False, f"FLOP count differs between {arch} and {alt}")
             if costs.flop_oracle(arch) != costs.flop_oracle(alt):
-                return _fail(name, f"FLOP oracle differs between {arch} and {alt}")
-    return _ok(name, "counts unchanged under head-count swaps across the grid")
+                return CheckResult(name, False, f"FLOP oracle differs between {arch} and {alt}")
+    return CheckResult(name, True, "counts unchanged under head-count swaps across the grid")
 
 
 def _random_ranking_instance(rng: np.random.Generator):
@@ -155,10 +146,10 @@ def check_ranking_vs_sort_oracle(sets: int = 200, seed: int = 20240) -> CheckRes
         expected = [arch for _w, arch in _selection_sort_oracle(rows)]
         got = [row.arch for row in result.ranked]
         if got != expected:
-            return _fail(name, f"set {iteration}: engine order {got[:4]}... != oracle")
+            return CheckResult(name, False, f"set {iteration}: engine order {got[:4]}... != oracle")
         if [row.rank for row in result.ranked] != list(range(1, len(got) + 1)):
-            return _fail(name, f"set {iteration}: ranks are not contiguous from 1")
-    return _ok(name, f"identical orderings on {sets} random metric sets")
+            return CheckResult(name, False, f"set {iteration}: ranks are not contiguous from 1")
+    return CheckResult(name, True, f"identical orderings on {sets} random metric sets")
 
 
 def check_w_properties(seed: int = 71) -> CheckResult:
@@ -170,7 +161,7 @@ def check_w_properties(seed: int = 71) -> CheckResult:
     )
     t = maxpoint.metrics
     if engine.w_coefficient(t, maxpoint) != 0.0:
-        return _fail(name, "w(T, T) != 0")
+        return CheckResult(name, False, "w(T, T) != 0")
     for trial in range(200):
         p = float(rng.uniform(1.0, t.param_size))
         lat = float(rng.uniform(1.0, t.latency))
@@ -178,7 +169,9 @@ def check_w_properties(seed: int = 71) -> CheckResult:
         triple = metrics.MetricTriple(p, lat, err)
         w = engine.w_coefficient(triple, maxpoint)
         if p < t.param_size and lat < t.latency and not w > 0:
-            return _fail(name, f"trial {trial}: w not positive for sub-maximal candidate")
+            return CheckResult(
+                name, False, f"trial {trial}: w not positive for sub-maximal candidate"
+            )
         scale = float(rng.uniform(0.1, 10.0))
         scaled = engine.w_coefficient(
             metrics.MetricTriple(p * scale, lat, err),
@@ -188,12 +181,14 @@ def check_w_properties(seed: int = 71) -> CheckResult:
             ),
         )
         if abs(scaled - w) > 1e-9 * max(1.0, abs(w)):
-            return _fail(name, f"trial {trial}: not invariant under parameter rescaling")
+            return CheckResult(
+                name, False, f"trial {trial}: not invariant under parameter rescaling"
+            )
         error_scale = float(rng.uniform(0.1, 10.0))
         rescaled = engine.w_coefficient(metrics.MetricTriple(p, lat, err * error_scale), maxpoint)
         if abs(rescaled * error_scale - w) > 1e-9 * max(1.0, abs(w)):
-            return _fail(name, f"trial {trial}: error rescaling does not divide w")
-    return _ok(name, "zero at the maximum point, scale invariances, positivity")
+            return CheckResult(name, False, f"trial {trial}: error rescaling does not divide w")
+    return CheckResult(name, True, "zero at the maximum point, scale invariances, positivity")
 
 
 def check_toynet_counts() -> CheckResult:
@@ -204,34 +199,33 @@ def check_toynet_counts() -> CheckResult:
         oracle = costs.shape_oracle_params(arch, emb)
         formula = costs.param_count(arch, emb)
         if not (instantiated == oracle == formula):
-            return _fail(
-                name,
-                f"counterexample {arch}: instantiated {instantiated},"
+            return CheckResult(
+                name, False, f"counterexample {arch}: instantiated {instantiated},"
                 f" oracle {oracle}, formula {formula}",
             )
-    return _ok(name, f"equality on {len(TOY_CONFIGS)} toy configurations")
+    return CheckResult(name, True, f"equality on {len(TOY_CONFIGS)} toy configurations")
 
 
 def check_toynet_invariants() -> CheckResult:
     name = "toy-net numeric invariants"
     if toynet.gelu(0.0) != 0.0:
-        return _fail(name, "gelu(0) != 0")
+        return CheckResult(name, False, "gelu(0) != 0")
     for x in (8.0, 10.0):
         if abs(toynet.gelu(x) - x) > 1e-6 or abs(toynet.gelu(-x)) > 1e-6:
-            return _fail(name, f"gelu saturation violated at |x| = {x}")
+            return CheckResult(name, False, f"gelu saturation violated at |x| = {x}")
     grid = np.arange(-5.0, 5.0 + 1e-9, 1e-4)
     slopes = np.diff(toynet.gelu(grid)) / 1e-4
     if np.max(np.abs(np.diff(slopes))) > 1e-3:
-        return _fail(name, "gelu finite-difference derivative jumps above 1e-3")
+        return CheckResult(name, False, "gelu finite-difference derivative jumps above 1e-3")
 
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(64, 16))
     ones, zeros = np.ones(16), np.zeros(16)
     normalized = toynet.layer_norm(rows, ones, zeros, eps=1e-5)
     if np.max(np.abs(normalized.mean(axis=-1))) > 1e-6:
-        return _fail(name, "layer-norm pre-affine mean above 1e-6")
+        return CheckResult(name, False, "layer-norm pre-affine mean above 1e-6")
     if np.max(np.abs(normalized.var(axis=-1) - 1.0)) > 1e-3:
-        return _fail(name, "layer-norm pre-affine variance off 1 by more than 1e-3")
+        return CheckResult(name, False, "layer-norm pre-affine variance off 1 by more than 1e-3")
 
     cfg = toynet.ToyNetConfig(
         arch=ArchParams(2, 2, 8, 16), emb=EmbeddingConfig(32, 16, 8, 2), seed=11
@@ -240,18 +234,18 @@ def check_toynet_invariants() -> CheckResult:
     tokens = rng.integers(0, 32, size=(2, 8))
     out, stats = toynet.forward_with_stats(net, tokens)
     if stats.softmax_row_dev > 1e-9:
-        return _fail(name, f"softmax rows deviate from 1 by {stats.softmax_row_dev}")
+        return CheckResult(name, False, f"softmax rows deviate from 1 by {stats.softmax_row_dev}")
     if out.shape != (2, 8, 8) or np.max(np.abs(out)) > 1.0:
-        return _fail(name, "forward output out of [-1, 1] or mis-shaped")
+        return CheckResult(name, False, "forward output out of [-1, 1] or mis-shaped")
     if not np.array_equal(out, toynet.forward(net, tokens)):
-        return _fail(name, "repeated forward passes are not bitwise identical")
+        return CheckResult(name, False, "repeated forward passes are not bitwise identical")
 
     for classes in (2, 10, 100):
         logits = np.zeros((3, classes))
         value = toynet.kd_loss(logits, logits, mlm_loss=0.0, weight=0.5, temperature=2.0)
         if abs(value - 0.5 * np.log(classes)) > 1e-9:
-            return _fail(name, f"uniform-identical kd loss != 0.5*ln({classes})")
-    return _ok(name, "gelu, layer norm, softmax, bounds, determinism, kd loss")
+            return CheckResult(name, False, f"uniform-identical kd loss != 0.5*ln({classes})")
+    return CheckResult(name, True, "gelu, layer norm, softmax, bounds, determinism, kd loss")
 
 
 def run_all() -> list[CheckResult]:

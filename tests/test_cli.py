@@ -831,6 +831,72 @@ class TestDocumentedExits:
         assert "layernorm_eps must be positive" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["cost", "toy-forward"])
+    def test_arch_led_by_a_negative_number_names_the_depth(self, tmp_path, capsys, command):
+        tokens = (str(tmp_path / "tokens.txt"),) if command == "toy-forward" else ()
+        code, out, err = run_cli(capsys, command, *tokens, "--arch", "-2,8,1024,768")
+        assert code == 2
+        assert "depth must be a positive integer (got -2)" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "+1"])
+    def test_token_line_not_in_ascii_digits_exits_3(self, tmp_path, capsys, token):
+        code, out, err = self._toy(capsys, tmp_path, f"1\n{token}\n")
+        assert code == 3
+        assert f"token file line 2: not an integer: {token!r}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("arch", ["4,8,1_024,768", "4,8,\u0661024,768", "+4,8,1024,768"])
+    def test_arch_part_not_in_ascii_digits_exits_2(self, capsys, arch):
+        code, out, err = run_cli(capsys, "cost", "--arch", arch)
+        assert code == 2
+        assert f"architecture {arch!r} must be four comma-separated integers" in err
+        assert out == ""
+
+
+class TestStdoutWriteFailure:
+    """A stdout that cannot take the output exits 2 with one line on stderr."""
+
+    def _run(self, stdout, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "subarch", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+
+    def test_pipe_closed_before_the_write(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._run(write_end, "rank", "--config", DEMO_CONFIG)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "config error: cannot write output to stdout: [Errno 32] Broken pipe\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [("enumerate", "--config", DEMO_CONFIG), ("verify",)])
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = self._run(full, *argv)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "config error: cannot write output to stdout: [Errno 28] No space left on device\n"
+        )
+
+    def test_in_process_stream_without_a_file_descriptor(self, capsys, monkeypatch):
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        code = main(["cost", "--arch", "4,8,1024,768"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: cannot write output to stdout: [Errno 28] No space left on device\n"
+        )
+
 
 # A grid whose ingested run both ranks and excludes: <4,16,1024,768> is
 # slower than the maximum point, so the maximum-point rule excludes it.

@@ -441,6 +441,31 @@ def reports(draw):
     return ExtractionReport(header, RankingResult(ranked, excluded, len(ranked), 8))
 
 
+@settings(max_examples=150, deadline=None)
+@given(reports())
+def test_render_text_cells_are_repr_of_floats_and_str_of_ints(report):
+    header = {**report.header, "embedding": {"vocab": 8}}
+    text = render_text(ExtractionReport(header, report.result))
+    mp = header["maxpoint"]
+    assert f"# maxpoint: arch=<24,16,1024,4096> param_size={mp['param_size']!r} latency=1.5" in text
+
+    def cell(value) -> str:
+        return repr(value) if isinstance(value, float) else str(value)
+
+    ranked, excluded = report.result.ranked, report.result.excluded
+    expected = [
+        [*([str(r.rank)] if r.rank is not None else []), *map(str, r.arch.as_tuple()),
+         *map(cell, (r.metrics.param_size, r.metrics.latency)), header["latency_unit"],
+         cell(r.metrics.error), cell(r.w_coefficient), ",".join(sorted(r.flags)) or "-"]
+        for r in (*ranked, *excluded)
+    ]
+    # The tables end the text: a column line, the ranked rows, the excluded
+    # count, then a column line and the excluded rows when there are any.
+    lines = text.split("\n")[-(2 + len(ranked) + (len(excluded) + 1 if excluded else 0)):]
+    rows = lines[1 : 1 + len(ranked)] + lines[3 + len(ranked):]
+    assert [row.split() for row in rows] == expected
+
+
 class TestRenderJson:
     @settings(max_examples=150, deadline=None)
     @given(reports())
