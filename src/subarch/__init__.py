@@ -16,7 +16,6 @@ from .costs import (
     flop_count,
     flop_oracle,
     linear_flops,
-    linear_params,
     param_count,
     shape_list,
     shape_oracle_params,

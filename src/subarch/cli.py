@@ -1,7 +1,7 @@
 """Command-line front door wiring the modules into reproducible runs.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 failed
-verification check. Data goes to stdout, diagnostics to stderr.
+Exit codes: 0 on success, else the `exit_code` of the `subarch.errors` type
+raised (2, 3 or 4). Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .engine import (
 from .errors import ConfigError, DataError, VerificationError
 from .metrics import (
     analytic_maxpoint,
-    finite_number,
     ingest_measurements,
     maxpoint_from_measurements,
 )
@@ -58,6 +57,10 @@ _DISCREPANCY_NOTE = (
     " The closed form is kept as normative (it reproduces the 355M reference"
     " architecture exactly); the discrepancy is surfaced rather than reconciled."
 )
+
+
+# The flags that set one config key each, named by it; _settings applies them after every --set.
+_FLAG_KEYS = ("arch", "top_k", "seed")
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -91,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cost = sub.add_parser("cost", help="parameter and FLOP breakdown for one architecture")
     _add_common(p_cost)
-    p_cost.add_argument("--arch", metavar="D,A,H,I", help="architecture tuple")
+    p_cost.add_argument("--arch", metavar="D,A,H,I", help="architecture tuple (sets arch)")
     p_cost.set_defaults(func=_cmd_cost)
 
     p_rank = sub.add_parser("rank", help="score and rank candidates against the maximum point")
@@ -101,14 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="newline-delimited JSON measurement records (switches to ingested mode)",
     )
-    p_rank.add_argument("--top-k", type=int, metavar="K", help="limit the ranking to K rows")
+    p_rank.add_argument("--top-k", metavar="K", help="limit the ranking to K rows (sets top_k)")
     p_rank.set_defaults(func=_cmd_rank)
 
     p_toy = sub.add_parser("toy-forward", help="run the toy network on a token-id file")
     _add_common(p_toy, formats=False)
     p_toy.add_argument("tokens", metavar="TOKEN_FILE", help="newline-delimited integer token ids")
-    p_toy.add_argument("--arch", metavar="D,A,H,I", help="architecture tuple")
-    p_toy.add_argument("--seed", type=int, help="weight seed")
+    p_toy.add_argument("--arch", metavar="D,A,H,I", help="architecture tuple (sets arch)")
+    p_toy.add_argument("--seed", help="weight seed (sets seed)")
     p_toy.set_defaults(func=_cmd_toy_forward)
     for p_arch in (p_cost, p_toy):  # as from Python 3.13, read '--arch -2,8,1024,768' as a value
         p_arch._negative_number_matcher = re.compile(r"-\.?\d")
@@ -120,8 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _settings(args: argparse.Namespace) -> dict:
+    """The config file, then each --set, then each flag of _FLAG_KEYS, so a flag wins."""
     settings = config_mod.load_config(args.config)
-    return config_mod.apply_overrides(settings, args.overrides)
+    flags = [f"{key}={value}" for key in _FLAG_KEYS if (value := vars(args).get(key)) is not None]
+    return config_mod.apply_overrides(settings, [*args.overrides, *flags])
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -141,13 +146,12 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 
 
 def _arch_from(args: argparse.Namespace, settings: dict) -> ArchParams:
-    """The --arch flag, else the config's 'arch' key; cost and toy-forward need one."""
-    raw_arch = args.arch if args.arch is not None else settings.get("arch")
-    if raw_arch is None:
+    """The 'arch' setting, which --arch also sets; cost and toy-forward need one."""
+    if settings.get("arch") is None:
         raise ConfigError(
             f"{args.subcommand} needs an architecture: pass --arch D,A,H,I or set 'arch'"
         )
-    return config_mod.parse_arch(raw_arch)
+    return config_mod.parse_arch(settings["arch"])
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -239,7 +243,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         epsilon=settings["epsilon"],
         metric_mode=mode,
         error_model=config_mod.error_model_from(settings) if mode == ANALYTIC else None,
-        top_k=args.top_k if args.top_k is not None else settings["top_k"],
+        top_k=settings["top_k"],
         n_steps=settings["n_steps"],
     )
     report = run_extraction(run_config, measurements)
@@ -283,15 +287,12 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     settings = _settings(args)
     arch = _arch_from(args, settings)
     emb = config_mod.embedding_from(settings)
-    seed = args.seed if args.seed is not None else settings["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer (got {seed!r})")
     net_config = ToyNetConfig(
         arch=arch,
         emb=emb,
-        dropout=finite_number(settings["dropout"], "dropout"),
-        layernorm_eps=finite_number(settings["layernorm_eps"], "layernorm_eps"),
-        seed=seed,
+        dropout=settings["dropout"],
+        layernorm_eps=settings["layernorm_eps"],
+        seed=settings["seed"],
     )
     tokens = _read_tokens(args.tokens, emb.seq)
     weight_bytes = param_count(arch, emb) * 8
@@ -313,7 +314,7 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
         "max": float(out.max()),
         "softmax_row_sum_max_deviation": stats.softmax_row_dev,
         "instantiated_params": count_instantiated_params(net),
-        "seed": seed,
+        "seed": net_config.seed,
     }
     _emit(json.dumps(doc, indent=2), args)
     return 0
@@ -336,15 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 4
+    except (ConfigError, DataError, VerificationError) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -34,23 +34,14 @@ TYPE_TABLE_ROWS = 3
 
 @dataclass(frozen=True)
 class LayerShape:
-    """A linear layer with `rows` outputs of `cols` inputs, plus an optional bias."""
+    """A linear layer with `rows` outputs of `cols` inputs."""
 
     rows: int
     cols: int
-    has_bias: bool = True
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"layer shape must be at least 1x1 (got {self.rows}x{self.cols})")
-
-
-def linear_params(shape: LayerShape) -> int:
-    """Trainable parameters of a linear layer: rows*cols, plus cols for the bias."""
-    total = shape.rows * shape.cols
-    if shape.has_bias:
-        total += shape.cols
-    return total
 
 
 def linear_flops(shape: LayerShape) -> int:

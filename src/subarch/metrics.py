@@ -147,20 +147,14 @@ def serialize_measurements(records: Iterable[MeasurementRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def build_metric_map(
-    records: Iterable[MeasurementRecord], emb: EmbeddingConfig
-) -> dict[ArchParams, MetricTriple]:
-    """Key records, which name distinct architectures, filling in the closed-form param_size."""
-    return {
-        rec.arch: MetricTriple(param_count(rec.arch, emb), rec.latency, rec.error) for rec in records
-    }
-
-
 def ingest_measurements(
     source: str | Iterable[str], emb: EmbeddingConfig
 ) -> dict[ArchParams, MetricTriple]:
-    """Parse a measurement stream and key it by exact architecture tuple."""
-    return build_metric_map(parse_measurements(source), emb)
+    """Parse a measurement stream and key it by architecture, with the closed-form param_size."""
+    return {
+        rec.arch: MetricTriple(param_count(rec.arch, emb), rec.latency, rec.error)
+        for rec in parse_measurements(source)
+    }
 
 
 def _flops_triple(arch: ArchParams, param_size: int, error: float) -> MetricTriple:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .costs import TYPE_TABLE_ROWS
 from .errors import ConfigError, DataError
+from .metrics import finite_number
 from .space import ArchParams, EmbeddingConfig, require_valid
 
 GELU_CUBIC = 0.44715
@@ -153,7 +154,7 @@ def attention(x, query, key, value, heads: int, stats: ForwardStats | None = Non
 
 @dataclass(frozen=True)
 class ToyNetConfig:
-    """Architecture, embedding sizes and evaluation knobs for one toy network."""
+    """Architecture, embedding sizes and evaluation knobs for one toy network, all checked here."""
 
     arch: ArchParams
     emb: EmbeddingConfig
@@ -168,10 +169,14 @@ class ToyNetConfig:
                 f"sequence length ({self.emb.seq}) exceeds the position table size"
                 f" ({self.emb.typepos})"
             )
+        for name in ("dropout", "layernorm_eps"):  # frozen: set the checked float directly
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1) (got {self.dropout})")
         if not self.layernorm_eps > 0:
             raise ConfigError(f"layernorm_eps must be positive (got {self.layernorm_eps})")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer (got {self.seed!r})")
 
 
 class ToyNet:

@@ -541,9 +541,10 @@ def _refuse_constant(token):
     fmt=st.sampled_from(["text", "json"]),
     overrides=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), _set_values), max_size=3),
     arch=st.none() | st.sampled_from(["2,2,4,8", "4,8,1024,768"]) | _set_values,
+    top_k=st.none() | _set_values,
     ndjson=_ndjson(),
 )
-def test_cli_fuzz_exits_cleanly(command, fmt, overrides, arch, ndjson):
+def test_cli_fuzz_exits_cleanly(command, fmt, overrides, arch, top_k, ndjson):
     """Random config values and records end in a documented exit, never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp) / "c.json", **_FUZZ_BASE)
@@ -552,6 +553,8 @@ def test_cli_fuzz_exits_cleanly(command, fmt, overrides, arch, ndjson):
             argv += ["--set", f"{key}={value}"]
         if command == "cost" and arch is not None:
             argv.append(f"--arch={arch}")  # one token, so "-1,..." is not read as a flag
+        if command.startswith("rank") and top_k is not None:
+            argv.append(f"--top-k={top_k}")
         if command == "rank-ingested":
             measurements = Path(tmp) / "m.ndjson"
             measurements.write_text(ndjson)
@@ -573,6 +576,44 @@ DEMO_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
 
 def _no_traceback(err: str) -> None:
     assert "Traceback" not in err
+
+
+# (flag, key, the command before it, a valid value other than those tried, the valid values tried)
+_SHORTHANDS = [
+    ("--arch", "arch", ("cost",), "2,2,4,8", ["4,8,1024,768", "[4,8,1024,768]"]),
+    ("--top-k", "top_k", ("rank", "--config", DEMO_CONFIG), "5", ["3", "null"]),
+    (
+        "--seed",
+        "seed",
+        ("toy-forward", "{tokens}", "--set", "arch=[2,2,8,16]", "--set", "vocab=32",
+         "--set", "typepos=16", "--set", "seq=8"),
+        "9",
+        ["5", "0"],
+    ),
+]
+
+
+class TestFlagsAreSetShorthands:
+    """--arch, --top-k and --seed mean --set arch=, top_k= and seed=, applied after every --set."""
+
+    @pytest.mark.parametrize(
+        "flag, key, command, other, value, ok",
+        [
+            pytest.param(flag, key, command, other, value, value in valid, id=f"{key}={value}")
+            for flag, key, command, other, valid in _SHORTHANDS
+            for value in dict.fromkeys([*valid, "1_0", "\u0663", "03", "true", "null"])
+        ],
+    )
+    def test_flag_matches_set(self, tmp_path, capsys, flag, key, command, other, value, ok):
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("".join(f"{i % 32}\n" for i in range(16)))
+        command = [part.format(tokens=tokens) for part in command]
+        expected = run_cli(capsys, *command, "--set", f"{key}={value}")
+        assert run_cli(capsys, *command, flag, value) == expected
+        assert run_cli(capsys, *command, flag, value, "--set", f"{key}={other}") == expected
+        assert run_cli(capsys, *command, "--set", f"{key}={other}", flag, value) == expected
+        assert expected[0] == (0 if ok else 2)
+        assert (key in expected[2]) != ok  # an error names the key
 
 
 class TestMappedFailures:

@@ -13,7 +13,6 @@ from subarch.costs import (
     flop_count,
     flop_oracle,
     linear_flops,
-    linear_params,
     param_count,
     shape_list,
     shape_oracle_params,
@@ -25,15 +24,6 @@ TINY = ArchParams(2, 1, 1, 1)
 
 
 class TestLinearLayer:
-    def test_params_one_by_one_with_bias(self):
-        assert linear_params(LayerShape(1, 1)) == 2
-
-    def test_params_wide_with_bias(self):
-        assert linear_params(LayerShape(1024, 768)) == 1024 * 768 + 768
-
-    def test_params_no_bias(self):
-        assert linear_params(LayerShape(3, 5, has_bias=False)) == 15
-
     def test_flops(self):
         assert linear_flops(LayerShape(1, 1)) == 1
         assert linear_flops(LayerShape(1024, 1024)) == 2047 * 1024

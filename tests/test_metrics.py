@@ -15,7 +15,6 @@ from subarch.metrics import (
     SyntheticErrorModel,
     analytic_maxpoint,
     analytic_metrics,
-    build_metric_map,
     ingest_measurements,
     maxpoint_from_measurements,
     parse_measurements,

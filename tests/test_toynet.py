@@ -140,6 +140,31 @@ class TestToyNetConfig:
                 arch=ArchParams(2, 2, 8, 16), emb=EmbeddingConfig(32, 16, 8, 1), dropout=1.0
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("layernorm_eps", math.inf),
+            ("layernorm_eps", True),
+            ("dropout", True),
+            ("seed", -1),
+            ("seed", True),
+            ("seed", 2.0),
+        ],
+    )
+    def test_bad_setting_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            ToyNetConfig(
+                arch=ArchParams(2, 2, 8, 16), emb=EmbeddingConfig(32, 16, 8, 1), **{key: value}
+            )
+
+    def test_int_knobs_are_stored_as_floats(self):
+        cfg = ToyNetConfig(
+            arch=ArchParams(2, 2, 8, 16), emb=EmbeddingConfig(32, 16, 8, 1),
+            dropout=0, layernorm_eps=1,
+        )
+        assert (cfg.dropout, cfg.layernorm_eps) == (0.0, 1.0)
+        assert all(isinstance(v, float) for v in (cfg.dropout, cfg.layernorm_eps))
+
 
 class TestForward:
     def test_zero_net_outputs_zero(self):
