@@ -19,7 +19,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from itertools import islice
 from operator import itemgetter
 from typing import Mapping
 
@@ -179,7 +178,7 @@ def rank_candidates(
     scored.sort(key=itemgetter(0), reverse=True)
     ranked = tuple(
         CandidateReport(arch, triple, w, position)
-        for position, (w, arch, triple) in enumerate(islice(scored, config.top_k), start=1)
+        for position, (w, arch, triple) in enumerate(scored[: config.top_k], start=1)
     )
     return RankingResult(
         ranked=ranked,

@@ -11,6 +11,8 @@ determines the weights.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,33 @@ GELU_CUBIC = 0.44715
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 # Elements per gelu block: whole rows of the last axis, one row at least.
 _GELU_BLOCK = 1 << 15
+# Elements per weight-fill chunk (8 MiB of float64): many chunks keep the
+# threads evenly loaded, and seeding one generator per chunk costs little.
+_FILL_CHUNK = 1 << 20
+
+
+def _workers() -> int:
+    """Threads for the weight fill and gelu: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_parts(fn, parts) -> None:
+    """Call fn(part) for every part, on up to one thread per CPU; a failure is raised here.
+
+    fn must call numpy only, never a kernel of this module: the tracer in
+    perfbench/spans.py patches those names and is not thread-safe. numpy
+    releases the GIL in its ufuncs and generators, so the threads overlap.
+    With one CPU or one part, the parts run in order in this thread.
+    """
+    workers = min(_workers(), len(parts))
+    if workers <= 1:
+        for part in parts:
+            fn(part)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fn, parts))  # reading every result re-raises a worker's exception
 
 
 def gelu(x, out=None):
@@ -31,7 +60,8 @@ def gelu(x, out=None):
 
     A float array is computed over blocks of whole rows of the last axis, with
     the same ufuncs on the same operands as the expression, so the result is
-    bitwise equal and only one block's cube is held at a time. Without `out`
+    bitwise equal and only one block's cube is held per thread. The blocks are
+    dealt out to one thread per CPU, each with its own scratch block. Without `out`
     the result is a fresh array and `x` is never written; `out` (a C-contiguous
     array of x's shape and dtype, `x` itself included) receives the result and
     is returned. Each block of `x` is read before the same block of `out` is
@@ -48,19 +78,25 @@ def gelu(x, out=None):
     x_rows = x.reshape(rows, width)
     out_rows = out.reshape(rows, width)
     step = max(1, _GELU_BLOCK // max(width, 1))
-    scratch = np.empty((min(step, rows), width), dtype=x.dtype)
-    for start in range(0, rows, step):
-        xb = x_rows[start : start + step]
-        ob = out_rows[start : start + step]
-        inner = scratch[: len(xb)]
-        np.power(xb, 3, out=inner)
-        inner *= GELU_CUBIC
-        inner += xb
-        inner *= _GELU_SCALE
-        np.tanh(inner, out=inner)
-        inner += 1.0
-        np.multiply(0.5, xb, out=ob)
-        ob *= inner
+    starts = range(0, rows, step)
+
+    def run(part_starts):
+        scratch = np.empty((min(step, rows), width), dtype=x.dtype)
+        for start in part_starts:
+            xb = x_rows[start : start + step]
+            ob = out_rows[start : start + step]
+            inner = scratch[: len(xb)]
+            np.power(xb, 3, out=inner)
+            inner *= GELU_CUBIC
+            inner += xb
+            inner *= _GELU_SCALE
+            np.tanh(inner, out=inner)
+            inner += 1.0
+            np.multiply(0.5, xb, out=ob)
+            ob *= inner
+
+    workers = min(_workers(), len(starts))
+    _run_parts(run, [starts[i::workers] for i in range(workers)])
     return out
 
 
@@ -194,13 +230,18 @@ class ToyNet:
     def build(cls, config: ToyNetConfig) -> "ToyNet":
         """Instantiate all weights from a seeded uniform(-1/2, 1/2) draw.
 
-        Creation order is fixed, so a seed fully determines every array.
+        Creation order is fixed, so a seed fully determines every array: the
+        arrays are consecutive stretches of one Generator(PCG64(seed)) stream,
+        bitwise equal to default_rng(seed).uniform(-0.5, 0.5, shape) drawn for
+        each in turn. Every array is allocated here, before any thread starts.
+        Fixed-size chunks are then filled on threads, each from its own
+        generator advanced to the chunk's offset in the stream; that is exact
+        because each double takes one 64-bit draw and u - 0.5 is exact.
         """
-        rng = np.random.default_rng(config.seed)
         weights: dict[str, np.ndarray] = {}
 
         def add(name: str, *shape: int) -> None:
-            weights[name] = rng.uniform(-0.5, 0.5, size=shape)
+            weights[name] = np.empty(shape)
 
         hidden, inter = config.arch.hidden, config.arch.intermediate
         add("embedding.token_table", config.emb.vocab, hidden)
@@ -223,6 +264,24 @@ class ToyNet:
             add(f"{base}.output_norm.shift", hidden)
         add("pooler.weight", hidden, hidden)
         add("pooler.bias", hidden)
+
+        chunks = []
+        offset = 0
+        for array in weights.values():
+            flat = array.reshape(-1)
+            chunks += [
+                (offset + start, flat[start : start + _FILL_CHUNK])
+                for start in range(0, flat.size, _FILL_CHUNK)
+            ]
+            offset += flat.size
+
+        def fill(part):
+            chunk_offset, chunk = part
+            bits = np.random.PCG64(config.seed).advance(chunk_offset)
+            np.random.Generator(bits).random(out=chunk)
+            chunk -= 0.5
+
+        _run_parts(fill, chunks)
         return cls(config, weights)
 
 

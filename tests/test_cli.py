@@ -164,6 +164,16 @@ class TestRank:
         assert [row["rank"] for row in doc["ranking"]] == [1, 2, 3]
         assert doc["header"]["candidates_ranked"] == 300
 
+    def test_top_k_beyond_sys_maxsize_ranks_everything(self, capsys):
+        # 2**63 is past the stop that itertools.islice accepts.
+        code, out, err = run_cli(
+            capsys, "rank", "--config", DEMO_CONFIG, "--top-k", str(sys.maxsize + 1),
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        _, full, _ = run_cli(capsys, "rank", "--config", DEMO_CONFIG, "--format", "json")
+        assert json.loads(out)["ranking"] == json.loads(full)["ranking"]
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", **GRID)
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import TINY_EMB
+from subarch import toynet
 from subarch.costs import param_count, shape_oracle_params
 from subarch.errors import ConfigError, DataError
 from subarch.space import ArchParams, EmbeddingConfig
@@ -353,6 +355,69 @@ class TestBlockedKernels:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 4 * 128 * 128 * 8
+
+
+def sequential_weights(net: ToyNet) -> dict[str, np.ndarray]:
+    """The reference draw: one default_rng(seed).uniform call per array, in creation order."""
+    rng = np.random.default_rng(net.config.seed)
+    return {name: rng.uniform(-0.5, 0.5, size=a.shape) for name, a in net.weights.items()}
+
+
+@pytest.fixture
+def eight_workers(monkeypatch):
+    """More threads than cores, switching as often as the interpreter allows."""
+    monkeypatch.setattr(toynet, "_workers", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestThreadedKernels:
+    """The weight fill and gelu, split over threads, give the sequential bits."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+    def test_build_matches_sequential_draw_in_small_chunks(self, seed, eight_workers, monkeypatch):
+        # 7-element chunks: every tensor spans several, and boundaries fall mid-tensor.
+        monkeypatch.setattr(toynet, "_FILL_CHUNK", 7)
+        net = ToyNet.build(ToyNetConfig(arch=SMALL.arch, emb=SMALL.emb, seed=seed))
+        reference = sequential_weights(net)
+        assert list(net.weights) == list(reference)
+        assert all(np.array_equal(net.weights[k], reference[k]) for k in reference)
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_build_matches_sequential_draw_in_full_chunks(self, seed, eight_workers):
+        # The 20,000 x 64 token table spans two default chunks, split mid-tensor,
+        # and every later tensor starts off a chunk boundary.
+        emb = EmbeddingConfig(20_000, 16, 8, 1)
+        assert emb.vocab * 64 > toynet._FILL_CHUNK
+        net = ToyNet.build(ToyNetConfig(arch=ArchParams(2, 2, 64, 128), emb=emb, seed=seed))
+        reference = sequential_weights(net)
+        assert all(np.array_equal(net.weights[k], reference[k]) for k in reference)
+
+    def test_build_allocation_failure_raises_before_any_thread(self, monkeypatch):
+        def no_threads(fn, parts):
+            raise AssertionError("workers started")
+
+        monkeypatch.setattr(toynet, "_run_parts", no_threads)
+        emb = EmbeddingConfig(2**60, 16, 8, 1)
+        with pytest.raises((MemoryError, ValueError)):
+            ToyNet.build(ToyNetConfig(arch=SMALL.arch, emb=emb))
+
+    @pytest.mark.parametrize(
+        "shape", [(300, 1000), (64, 3000), (2, 512, 96), (40, 2**14 + 1), (0, 5), (7,)],
+        ids=["many_blocks", "fewer_blocks_than_workers", "3d", "one_row_per_block", "empty",
+             "one_block"],
+    )
+    def test_gelu_matches_plain_expression(self, shape, eight_workers):
+        cubic, scale = 0.44715, math.sqrt(2.0 / math.pi)
+        x = np.random.default_rng(sum(shape)).normal(size=shape) * 4
+        expected = 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * x**3)))
+        assert np.array_equal(gelu(x), expected)
+        assert gelu(x, out=x) is x
+        assert np.array_equal(x, expected)
 
 
 class TestInstantiatedCount:
