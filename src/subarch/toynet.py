@@ -26,6 +26,9 @@ GELU_CUBIC = 0.44715
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 # Elements per gelu block: whole rows of the last axis, one row at least.
 _GELU_BLOCK = 1 << 15
+# For finite x at or below this, _GELU_SCALE * (x + GELU_CUBIC * x**3) <= -26.0,
+# whose tanh rounds to exactly -1.0, so gelu(x) is -0.0 whatever the cube is.
+_GELU_FIXED_AT = -4.0
 # Elements per weight-fill chunk (8 MiB of float64): many chunks keep the
 # threads evenly loaded, and seeding one generator per chunk costs little.
 _FILL_CHUNK = 1 << 20
@@ -39,35 +42,44 @@ def _workers() -> int:
 
 
 def _run_parts(fn, parts) -> None:
-    """Call fn(part) for every part, on up to one thread per CPU; a failure is raised here.
+    """Call fn(part) for every part, on up to one thread per CPU plus this one.
 
-    fn must call numpy only, never a kernel of this module: the tracer in
-    perfbench/spans.py patches those names and is not thread-safe. numpy
-    releases the GIL in its ufuncs and generators, so the threads overlap.
-    With one CPU or one part, the parts run in order in this thread.
+    This thread runs the first part while the pool runs the rest; a failure
+    is raised here. fn must call numpy only, never a kernel of this module:
+    the tracer in perfbench/spans.py patches those names and is not
+    thread-safe. numpy releases the GIL in its ufuncs and generators, so the
+    threads overlap. With one CPU or one part, the parts run in order in this
+    thread.
     """
-    workers = min(_workers(), len(parts))
-    if workers <= 1:
+    if _workers() <= 1 or len(parts) <= 1:
         for part in parts:
             fn(part)
         return
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(fn, parts))  # reading every result re-raises a worker's exception
+    with ThreadPoolExecutor(min(_workers(), len(parts) - 1)) as pool:
+        rest = pool.map(fn, parts[1:])
+        fn(parts[0])
+        list(rest)  # reading every result re-raises a worker's exception
 
 
 def gelu(x, out=None):
     """tanh-form GeLU approximation; accepts scalars or arrays.
 
-    A float array is computed over blocks of whole rows of the last axis, with
-    the same ufuncs on the same operands as the expression, so the result is
-    bitwise equal and only one block's cube is held per thread. The blocks are
-    dealt out to one thread per CPU, each with its own scratch block. Without `out`
-    the result is a fresh array and `x` is never written; `out` (a C-contiguous
-    array of x's shape and dtype, `x` itself included) receives the result and
-    is returned. Each block of `x` is read before the same block of `out` is
+    A float array with at least one axis is computed over blocks of whole rows
+    of the last axis, with the same ufuncs on the same operands as the
+    expression, so the result is bitwise equal and only one block's cube is
+    held per thread. The one exception changes no bit: finite lanes at or
+    below _GELU_FIXED_AT, where the expression is -0.0, cube 0.0 instead (a
+    fast np.power operand) and are then set to -0.0. The blocks are dealt out
+    to one thread per CPU and the calling thread, each with its own scratch.
+    Without `out` the result is a fresh array and `x` is never written; `out`
+    (a C-contiguous array of x's shape and dtype, `x` itself included)
+    receives the result and is returned, and any other input with `out` is a
+    ValueError. Each block of `x` is read before the same block of `out` is
     written, so `gelu(x, out=x)` is safe.
     """
     if not (isinstance(x, np.ndarray) and x.ndim and x.dtype.kind == "f"):
+        if out is not None:
+            raise ValueError("out needs a float array input with at least one axis")
         return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + GELU_CUBIC * x**3)))
     if out is None:
         out = np.empty(x.shape, dtype=x.dtype)
@@ -82,11 +94,17 @@ def gelu(x, out=None):
 
     def run(part_starts):
         scratch = np.empty((min(step, rows), width), dtype=x.dtype)
+        fixed_scratch = np.empty(scratch.shape, dtype=bool)
         for start in part_starts:
             xb = x_rows[start : start + step]
             ob = out_rows[start : start + step]
             inner = scratch[: len(xb)]
-            np.power(xb, 3, out=inner)
+            fixed = fixed_scratch[: len(xb)]
+            np.less_equal(xb, _GELU_FIXED_AT, out=fixed)
+            fixed &= xb != -np.inf  # -inf gives NaN, as in the expression
+            np.copyto(inner, xb)
+            np.copyto(inner, 0.0, where=fixed)
+            np.power(inner, 3, out=inner)
             inner *= GELU_CUBIC
             inner += xb
             inner *= _GELU_SCALE
@@ -94,8 +112,9 @@ def gelu(x, out=None):
             inner += 1.0
             np.multiply(0.5, xb, out=ob)
             ob *= inner
+            np.copyto(ob, -0.0, where=fixed)
 
-    workers = min(_workers(), len(starts))
+    workers = min(_workers() + 1, len(starts))
     _run_parts(run, [starts[i::workers] for i in range(workers)])
     return out
 
@@ -333,7 +352,7 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
         raise DataError(f"token input must be a (batch, sequence) matrix (got shape {tokens.shape})")
     if not np.issubdtype(tokens.dtype, np.integer):
         raise DataError(f"token ids must be integers (got dtype {tokens.dtype})")
-    _batch, seq = tokens.shape
+    batch, seq = tokens.shape
     if seq > cfg.emb.typepos:
         raise DataError(
             f"sequence length {seq} exceeds the position table size {cfg.emb.typepos}"
@@ -346,18 +365,27 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
             f" at batch {row}, position {col}"
         )
 
-    # Position indices run 0..seq-1 and all type indices are 0.
-    x = (
-        weights["embedding.token_table"][tokens]
-        + weights["embedding.position_table"][:seq]
-        + weights["embedding.type_table"][0]
-    )
-    x = layer_norm(
-        x, weights["embedding.norm.scale"], weights["embedding.norm.shift"], cfg.layernorm_eps
-    )
-    for layer in range(cfg.arch.depth):
-        x = _encoder_block(x, weights, f"encoder.{layer}", cfg.arch.heads, cfg.layernorm_eps, stats)
-    return np.tanh(x @ weights["pooler.weight"] + weights["pooler.bias"])
+    # One sequence at a time: every step works per sequence or per row, so
+    # the bits match the whole-batch pipeline and only the output grows with
+    # the batch. Position indices run 0..seq-1 and all type indices are 0.
+    out = np.empty((batch, seq, cfg.arch.hidden))
+    for ids, row in zip(tokens, out):
+        x = (
+            weights["embedding.token_table"][ids]
+            + weights["embedding.position_table"][:seq]
+            + weights["embedding.type_table"][0]
+        )
+        x = layer_norm(
+            x, weights["embedding.norm.scale"], weights["embedding.norm.shift"], cfg.layernorm_eps
+        )
+        for layer in range(cfg.arch.depth):
+            x = _encoder_block(
+                x, weights, f"encoder.{layer}", cfg.arch.heads, cfg.layernorm_eps, stats
+            )
+        np.matmul(x, weights["pooler.weight"], out=row)
+        row += weights["pooler.bias"]
+        np.tanh(row, out=row)
+    return out
 
 
 def forward_with_stats(net: ToyNet, tokens) -> tuple[np.ndarray, ForwardStats]:
@@ -404,7 +432,7 @@ def kd_loss(
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"weight must lie in [0, 1] (got {weight})")
-    if mlm_loss < 0:
-        raise ValueError(f"mlm_loss must be non-negative (got {mlm_loss})")
+    if not 0.0 <= mlm_loss < math.inf:
+        raise ValueError(f"mlm_loss must be non-negative and finite (got {mlm_loss})")
     distill = distillation_loss(student_logits, teacher_logits, temperature)
     return (1.0 - weight) * mlm_loss + weight * distill

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -225,6 +226,24 @@ class TestForward:
         out = forward(ToyNet(net.config, weights), tokens)
         assert np.all(np.isfinite(out))
 
+    def test_memory_grows_with_the_batch_only_by_the_output_rows(self):
+        # One sequence's activations (its 64x128 widen buffer alone is 64 KiB)
+        # are live at a time; the whole-batch pipeline held every sequence's.
+        cfg = ToyNetConfig(arch=ArchParams(2, 2, 32, 128), emb=EmbeddingConfig(50, 64, 64, 1))
+        net = ToyNet.build(cfg)
+        tokens = np.random.default_rng(2).integers(0, 50, size=(4, 64))
+        peaks = {}
+        for batch in (2, 4):
+            batch_tokens = tokens[:batch].copy()
+            tracemalloc.start()
+            try:
+                forward(net, batch_tokens)
+                peaks[batch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        output_row = 64 * 32 * 8
+        assert peaks[4] - peaks[2] <= 2 * output_row + 8192
+
 
 class TestInPlaceKernels:
     """gelu, softmax and layer_norm reuse their own buffers but give the plain expressions' bits."""
@@ -257,6 +276,18 @@ class TestInPlaceKernels:
         out = forward(ToyNet.build(cfg), tokens)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
             "e25fcd816e188be9911d6537daa44d0fac44c47448c80f059e7f4952246fc4ef"
+        )
+
+    def test_forward_digest_pinned_with_saturated_gelu_inputs(self):
+        # sha256 of the output bytes while gelu still cubed every lane (float64,
+        # same seeds); 9,073 of the net's 131,072 gelu inputs are <= -4.
+        cfg = ToyNetConfig(
+            arch=ArchParams(2, 4, 512, 1024), emb=EmbeddingConfig(100, 32, 32, 1), seed=11
+        )
+        tokens = np.random.default_rng(5).integers(0, 100, size=(2, 32))
+        out = forward(ToyNet.build(cfg), tokens)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "a15255d86d164cc8ab9be3433109f41405b17739998cce9e97dbcce07e31f641"
         )
 
 
@@ -343,6 +374,16 @@ class TestBlockedKernels:
         with pytest.raises(ValueError, match="C-contiguous"):
             gelu(np.zeros((3, 9)), out=out)
 
+    @pytest.mark.parametrize(
+        "x,out",
+        [(np.array([1, 2, 3]), np.zeros(3)), (np.array(2.0), np.zeros(())), (2.0, np.zeros(()))],
+        ids=["int_array", "zero_dim", "python_float"],
+    )
+    def test_gelu_rejects_out_for_an_input_off_the_blocked_path(self, x, out):
+        with pytest.raises(ValueError, match="out needs a float array"):
+            gelu(x, out=out)
+        assert not out.any()
+
     def test_attention_never_holds_the_score_stack(self):
         # The batched form holds 2*4*128*128 float64 scores (1 MiB) at once.
         rng = np.random.default_rng(8)
@@ -418,6 +459,42 @@ class TestThreadedKernels:
         assert np.array_equal(gelu(x), expected)
         assert gelu(x, out=x) is x
         assert np.array_equal(x, expected)
+
+    def test_gelu_bits_match_plain_expression_where_saturated_and_special(self, eight_workers):
+        # array_equal counts -0.0 == 0.0, so compare the bits.
+        cubic, scale = 0.44715, math.sqrt(2.0 / math.pi)
+        special = [-4.0, np.nextafter(-4.0, 0.0), -1e300, -np.finfo(float).max, -np.inf, np.inf,
+                   np.nan, 0.0, -0.0, 5e-324, -5e-324]
+        x = np.random.default_rng(15).normal(size=(300, 1000)) * 4
+        x[:, : len(special)] = special  # every row, so every block and thread
+        assert np.count_nonzero(x <= -4) > 40_000
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * x**3)))
+        for out in (None, x):  # -inf * 0.0 warns in gelu too
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                result = gelu(x, out=out)
+            assert np.array_equal(result.view(np.uint64), expected.view(np.uint64))
+
+    def test_run_parts_gives_the_calling_thread_the_first_part(self, eight_workers):
+        ran = []
+        toynet._run_parts(lambda part: ran.append((part, threading.get_ident())), list(range(5)))
+        assert sorted(part for part, _ in ran) == list(range(5))
+        assert (0, threading.get_ident()) in ran
+
+    def test_run_parts_with_one_cpu_runs_in_order_here(self, monkeypatch):
+        monkeypatch.setattr(toynet, "_workers", lambda: 1)
+        ran = []
+        toynet._run_parts(lambda part: ran.append((part, threading.get_ident())), [0, 1, 2])
+        assert ran == [(part, threading.get_ident()) for part in range(3)]
+
+    @pytest.mark.parametrize("failing", [0, 3])
+    def test_run_parts_raises_a_failure_here(self, failing, eight_workers):
+        def fn(part):
+            if part == failing:
+                raise ArithmeticError(part)
+
+        with pytest.raises(ArithmeticError):
+            toynet._run_parts(fn, list(range(5)))
 
 
 class TestInstantiatedCount:
@@ -526,3 +603,8 @@ class TestInputChecks:
     def test_kd_loss_rejects_a_negative_mlm_loss(self):
         with pytest.raises(ValueError, match="mlm_loss must be non-negative"):
             kd_loss(np.zeros((2, 3)), np.zeros((2, 3)), mlm_loss=-0.5)
+
+    @pytest.mark.parametrize("mlm_loss", [math.nan, math.inf])
+    def test_kd_loss_rejects_a_non_finite_mlm_loss(self, mlm_loss):
+        with pytest.raises(ValueError, match="mlm_loss must be non-negative and finite"):
+            kd_loss(np.zeros((2, 3)), np.zeros((2, 3)), mlm_loss=mlm_loss)
