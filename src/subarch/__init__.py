@@ -44,7 +44,6 @@ from .metrics import (
     maxpoint_from_measurements,
     parse_measurements,
     serialize_measurements,
-    synthetic_error,
 )
 from .space import (
     ArchParams,

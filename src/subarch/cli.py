@@ -15,7 +15,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import config as config_mod
-from .costs import dominance_report, param_count
+from .costs import cost_breakdown, dominance_report, param_count
 from .engine import (
     ANALYTIC,
     INGESTED,
@@ -47,16 +47,11 @@ def __getattr__(name: str):
         return getattr(toynet, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-# Emitted by `cost` for the one architecture whose closed-form count is known
-# to disagree with the size reported for it elsewhere; surfaced, not reconciled.
-_DISCREPANCY_ARCH = (4, 8, 1024, 768)
-_DISCREPANCY_NOTE = (
-    "closed-form count for <4,8,1024,768> with vocab=50265, typepos=514 is"
-    " 76,161,024 parameters (embedding component 52,003,840); the size reported"
-    " elsewhere for this architecture is 56.14M with a 39M embedding block."
-    " The closed form is kept as normative (it reproduces the 355M reference"
-    " architecture exactly); the discrepancy is surfaced rather than reconciled."
-)
+# `cost` notes the one architecture whose closed-form count disagrees with the
+# size reported for it elsewhere, at the reference vocab and typepos. The note
+# computes both readings of the tuple; the discrepancy is surfaced, not reconciled.
+_DISCREPANCY_ARCH = ArchParams(4, 8, 1024, 768)
+_REPORTED_TOTAL, _REPORTED_EMBEDDING_M = "56.14M", 39
 
 
 # The flags that set one config key each, named by it; _settings applies them after every --set.
@@ -182,8 +177,23 @@ def _cost_text(arch: ArchParams, emb: EmbeddingConfig, fmt: str) -> str:
         "encoder_param_ratio": dominance.encoder_param_ratio,
         "encoder_flop_ratio": dominance.encoder_flop_ratio,
     }
-    if arch.as_tuple() == _DISCREPANCY_ARCH and (emb.vocab, emb.typepos) == (50265, 514):
-        doc["note"] = _DISCREPANCY_NOTE
+    ref = config_mod.REFERENCE_EMBEDDING
+    if arch == _DISCREPANCY_ARCH and (emb.vocab, emb.typepos) == (ref.vocab, ref.typepos):
+        d, a, h, i = arch.as_tuple()
+        swapped = ArchParams(d, a, i, h)
+        given, other = dominance.breakdown, cost_breakdown(swapped, emb)
+        block = _REPORTED_EMBEDDING_M * 10**6
+        nearer = abs(other.embedding_params - block) < abs(given.embedding_params - block)
+        doc["note"] = (
+            f"closed-form count for {arch} with vocab={emb.vocab}, typepos={emb.typepos} is"
+            f" {given.total_params:,} parameters (embedding component {given.embedding_params:,});"
+            f" read with hidden and intermediate swapped, {swapped} is {other.total_params:,}"
+            f" (embedding component {other.embedding_params:,}). The size reported elsewhere for"
+            f" this architecture is {_REPORTED_TOTAL} with a {_REPORTED_EMBEDDING_M}M embedding"
+            f" block, which matches the {swapped if nearer else arch} reading. The closed form is"
+            " kept as normative (it reproduces the 355M reference architecture exactly); the"
+            " discrepancy is surfaced rather than reconciled."
+        )
     if fmt == "json":
         return json.dumps(doc, indent=2)
     lines = [
@@ -221,28 +231,24 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    mode = INGESTED if args.measurements is not None else settings["metric_mode"]
     space = config_mod.space_from(settings)
     emb = config_mod.embedding_from(settings)
     maxpoint_arch = config_mod.parse_arch(settings["maxpoint"])
 
-    measurements = None
-    if mode == INGESTED:
-        if args.measurements is None:
-            raise ConfigError("ingested mode requires --measurements PATH")
+    if args.measurements is None:
+        measurements, maxpoint = None, analytic_maxpoint(maxpoint_arch, emb)
+    else:
         text = config_mod.read_input(args.measurements, "measurements file", DataError)
         measurements = ingest_measurements(text, emb)
         maxpoint = maxpoint_from_measurements(maxpoint_arch, measurements)
-    else:
-        maxpoint = analytic_maxpoint(maxpoint_arch, emb)
 
     run_config = SearchConfig(
         space=space,
         maxpoint=maxpoint,
         emb=emb,
         epsilon=settings["epsilon"],
-        metric_mode=mode,
-        error_model=config_mod.error_model_from(settings) if mode == ANALYTIC else None,
+        metric_mode=ANALYTIC if measurements is None else INGESTED,
+        error_model=config_mod.error_model_from(settings) if measurements is None else None,
         top_k=settings["top_k"],
         n_steps=settings["n_steps"],
     )

@@ -13,7 +13,6 @@ rejected):
       "typepos": 514,
       "seq": 512,
       "batch": 1024,
-      "metric_mode": "analytic",      or "ingested"
       "top_k": null,                  null = full ranking
       "n_steps": 3,                   provenance only
       "maxpoint": [24, 16, 1024, 4096],
@@ -26,6 +25,7 @@ rejected):
     }
 
 Command-line flags override file values, which override the defaults below.
+No key selects `rank`'s mode: it is ingested exactly when --measurements is given.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ DEFAULTS: dict = {
     "typepos": 514,
     "seq": 512,
     "batch": 1024,
-    "metric_mode": "analytic",
     "top_k": None,
     "n_steps": 3,
     "maxpoint": [24, 16, 1024, 4096],
@@ -69,7 +68,6 @@ REFERENCE_SPACE = SearchSpace(
     hiddens=(512, 768, 1024),
     intermediates=(256, 512, 768, 1024, 3072),
 )
-REFERENCE_EMBEDDING = EmbeddingConfig(vocab=50265, typepos=514, seq=512, batch=1024)
 
 
 def read_input(path: str | Path, what: str, error: type[SubarchError]) -> str:
@@ -124,19 +122,16 @@ def apply_overrides(settings: dict, pairs: Iterable[str]) -> dict:
         if not dot and head not in KNOWN_KEYS:
             raise ConfigError(f"unknown override key {key!r}")
         parsed.append((head, rest if dot else None, value))
-    for head, rest, value in parsed:
-        if head == "error" and rest == "mode":
-            current = out.get("error")
-            if not isinstance(current, dict) or current.get("mode") != value:
-                out["error"] = {"mode": value}
-    for head, rest, value in parsed:
+    for head, rest, value in sorted(parsed, key=lambda item: item[1] != "mode"):  # modes first
         if rest is None:
             out[head] = value
-        elif rest != "mode":
-            current = out.get("error")
-            error_obj = dict(current) if isinstance(current, dict) else {}
-            error_obj[rest] = value
-            out["error"] = error_obj
+            continue
+        current = out.get("error")
+        error_obj = dict(current) if isinstance(current, dict) else {}
+        if rest == "mode" and error_obj.get("mode") != value:
+            error_obj = {}
+        error_obj[rest] = value
+        out["error"] = error_obj
     return out
 
 
@@ -180,6 +175,11 @@ def space_from(settings: dict) -> SearchSpace:
 
 def embedding_from(settings: dict) -> EmbeddingConfig:
     return EmbeddingConfig(**{f.name: settings[f.name] for f in fields(EmbeddingConfig)})
+
+
+# The default embedding sizes and maximum point, which the self-checks and `cost`'s note use.
+REFERENCE_EMBEDDING = embedding_from(DEFAULTS)
+REFERENCE_MAXPOINT = parse_arch(DEFAULTS["maxpoint"])
 
 
 def error_model_from(settings: dict) -> ErrorModel:

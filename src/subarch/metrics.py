@@ -186,11 +186,6 @@ def analytic_metrics(
     return _flops_triple(arch, param_size, error)
 
 
-def synthetic_error(arch: ArchParams, emb: EmbeddingConfig, c0: float, c1: float) -> float:
-    """Test-only error surrogate c0 + c1 / param_count: positive, shrinking with capacity."""
-    return SyntheticErrorModel(c0, c1).error(param_count(arch, emb))
-
-
 @dataclass(frozen=True)
 class ConstantErrorModel:
     """Same error value for every candidate."""

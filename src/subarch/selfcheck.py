@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costs, engine, metrics, toynet
-from .config import REFERENCE_EMBEDDING, REFERENCE_SPACE
+from .config import REFERENCE_EMBEDDING, REFERENCE_MAXPOINT, REFERENCE_SPACE
 from .space import ArchParams, EmbeddingConfig, SearchSpace, enumerate_space
 
 
@@ -100,18 +100,14 @@ def _random_ranking_instance(rng: np.random.Generator):
             latency=float(rng.uniform(1.0, 100.0)),
             error=float(rng.uniform(0.05, 5.0)),
         )
-    maxpoint = metrics.MaxPoint(
-        ArchParams(24, 16, 1024, 4096),
-        metrics.MetricTriple(200.0, 200.0, 1.0),
-    )
     config = engine.SearchConfig(
         space=space,
-        maxpoint=maxpoint,
+        maxpoint=metrics.MaxPoint(REFERENCE_MAXPOINT, metrics.MetricTriple(200.0, 200.0, 1.0)),
         emb=REFERENCE_EMBEDDING,
         epsilon=1,
         metric_mode=engine.INGESTED,
     )
-    return config, metric_map, maxpoint
+    return config, metric_map
 
 
 def _selection_sort_oracle(rows):
@@ -132,9 +128,9 @@ def check_ranking_vs_sort_oracle(sets: int = 200, seed: int = 20240) -> CheckRes
     name = "ranking vs independent sort oracle"
     rng = np.random.default_rng(seed)
     for iteration in range(sets):
-        config, metric_map, maxpoint = _random_ranking_instance(rng)
+        config, metric_map = _random_ranking_instance(rng)
         result = engine.rank_candidates(config, metric_map)
-        t = maxpoint.metrics
+        t = config.maxpoint.metrics
         rows = []
         for arch, triple in metric_map.items():
             if triple.param_size > t.param_size or triple.latency > t.latency:
@@ -155,10 +151,7 @@ def check_ranking_vs_sort_oracle(sets: int = 200, seed: int = 20240) -> CheckRes
 def check_w_properties(seed: int = 71) -> CheckResult:
     name = "w-coefficient properties"
     rng = np.random.default_rng(seed)
-    maxpoint = metrics.MaxPoint(
-        ArchParams(24, 16, 1024, 4096),
-        metrics.MetricTriple(355361792, 3248293888, 1.0),
-    )
+    maxpoint = metrics.analytic_maxpoint(REFERENCE_MAXPOINT, REFERENCE_EMBEDDING)
     t = maxpoint.metrics
     if engine.w_coefficient(t, maxpoint) != 0.0:
         return CheckResult(name, False, "w(T, T) != 0")

@@ -10,6 +10,7 @@ determines the weights.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -45,20 +46,22 @@ def _run_parts(fn, parts) -> None:
     """Call fn(part) for every part, on up to one thread per CPU plus this one.
 
     This thread runs the first part while the pool runs the rest; a failure
-    is raised here. fn must call numpy only, never a kernel of this module:
-    the tracer in perfbench/spans.py patches those names and is not
-    thread-safe. numpy releases the GIL in its ufuncs and generators, so the
-    threads overlap. With one CPU or one part, the parts run in order in this
-    thread.
+    is raised here. Each pool part runs in its own copy of this thread's
+    context, so numpy's errstate, a context variable, holds there too. fn must
+    call numpy only, never a kernel of this module: the tracer in
+    perfbench/spans.py patches those names and is not thread-safe. numpy
+    releases the GIL in its ufuncs and generators, so the threads overlap.
+    With one CPU or one part, the parts run in order in this thread.
     """
     if _workers() <= 1 or len(parts) <= 1:
         for part in parts:
             fn(part)
         return
     with ThreadPoolExecutor(min(_workers(), len(parts) - 1)) as pool:
-        rest = pool.map(fn, parts[1:])
+        rest = [pool.submit(contextvars.copy_context().run, fn, part) for part in parts[1:]]
         fn(parts[0])
-        list(rest)  # reading every result re-raises a worker's exception
+        for future in rest:  # reading every result re-raises a worker's exception
+            future.result()
 
 
 def gelu(x, out=None):
@@ -348,8 +351,11 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
     cfg = net.config
     weights = net.weights
     tokens = np.asarray(tokens)
-    if tokens.ndim != 2:
-        raise DataError(f"token input must be a (batch, sequence) matrix (got shape {tokens.shape})")
+    if tokens.ndim != 2 or tokens.shape[1] == 0:
+        raise DataError(
+            f"token input must be a (batch, sequence) matrix with a sequence of at least one id"
+            f" (got shape {tokens.shape})"
+        )
     if not np.issubdtype(tokens.dtype, np.integer):
         raise DataError(f"token ids must be integers (got dtype {tokens.dtype})")
     batch, seq = tokens.shape

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID_AXES, write_config
+from conftest import BORT, GRID_AXES, ROBERTA_EMB, write_config
 from subarch import costs, toynet
 from subarch.cli import main
 from subarch.config import KNOWN_KEYS
+from subarch.space import ArchParams
 
 GRID = dict(GRID_AXES, epsilon=1)
 
@@ -135,11 +136,28 @@ class TestCost:
             "dominance (encoder / embedding+pooler):"
             " params=0.43558069061359994 flops=28.837560975609755\n"
             "note: closed-form count for <4,8,1024,768> with vocab=50265, typepos=514 is"
-            " 76,161,024 parameters (embedding component 52,003,840); the size reported"
-            " elsewhere for this architecture is 56.14M with a 39M embedding block."
-            " The closed form is kept as normative (it reproduces the 355M reference"
-            " architecture exactly); the discrepancy is surfaced rather than reconciled.\n"
+            " 76,161,024 parameters (embedding component 52,003,840); read with hidden and"
+            " intermediate swapped, <4,8,768,1024> is 55,353,088 (embedding component"
+            " 39,002,880). The size reported elsewhere for this architecture is 56.14M with a"
+            " 39M embedding block, which matches the <4,8,768,1024> reading. The closed form"
+            " is kept as normative (it reproduces the 355M reference architecture exactly);"
+            " the discrepancy is surfaced rather than reconciled.\n"
         )
+
+    def test_note_counts_come_from_cost_breakdown_of_both_readings(self, capsys):
+        given = costs.cost_breakdown(BORT, ROBERTA_EMB)
+        swapped = ArchParams(BORT.depth, BORT.heads, BORT.intermediate, BORT.hidden)
+        other = costs.cost_breakdown(swapped, ROBERTA_EMB)
+        assert round(other.embedding_params / 1e6) == 39 != round(given.embedding_params / 1e6)
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(capsys, "cost", "--arch", "4,8,1024,768", "--format", fmt)
+            assert code == 0
+            note = out.split("note: ")[1] if fmt == "text" else json.loads(out)["note"]
+            for count in (given.total_params, given.embedding_params,
+                          other.total_params, other.embedding_params):
+                assert f"{count:,}" in note
+            assert f"matches the {swapped} reading" in note
+            assert "56.14M" in note and "surfaced rather than reconciled" in note
 
 
 class TestRank:
@@ -818,7 +836,14 @@ class TestDocumentedExits:
             capsys, "rank", "--config", DEMO_CONFIG, "--set", "metric_mode=ingested"
         )
         assert code == 2
-        assert "ingested mode requires --measurements" in err
+        assert "unknown override key 'metric_mode'" in err
+        assert out == ""
+
+    def test_metric_mode_in_a_config_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **GRID, metric_mode="ingested")
+        code, out, err = run_cli(capsys, "rank", "--config", cfg)
+        assert code == 2
+        assert "unknown config key(s): metric_mode" in err
         assert out == ""
 
     def test_unreadable_measurements_file_exits_3(self, tmp_path, capsys):

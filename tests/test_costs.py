@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -181,3 +183,20 @@ def test_param_count_strictly_increasing(arch, emb):
     assert param_count(deeper, emb) > base
     assert param_count(wider, emb) > base
     assert param_count(fatter, emb) > base
+
+
+# Six or more digits in a row, or a comma-grouped count such as 52,003,840.
+TYPED_COUNT = re.compile(r"[0-9]{6,}|[0-9]{1,3}(,[0-9]{3}){2,}")
+SOURCE_FILES = sorted((Path(__file__).resolve().parent.parent / "src" / "subarch").glob("*.py"))
+
+
+def test_no_count_is_typed_into_the_source():
+    # Every count the program prints comes from the closed forms, not from a literal.
+    assert SOURCE_FILES
+    typed = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in SOURCE_FILES
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if TYPED_COUNT.search(line)
+    ]
+    assert typed == []

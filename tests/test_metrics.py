@@ -19,11 +19,15 @@ from subarch.metrics import (
     maxpoint_from_measurements,
     parse_measurements,
     serialize_measurements,
-    synthetic_error,
 )
 from subarch.space import ArchParams
 
 TINY = ArchParams(2, 1, 1, 1)
+
+
+def synthetic_error(arch, emb, c0, c1):
+    """The synthetic error model's value for one architecture: c0 + c1 / param_count."""
+    return SyntheticErrorModel(c0, c1).error(param_count(arch, emb))
 
 
 class TestMetricTriple:

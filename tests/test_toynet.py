@@ -1,8 +1,10 @@
 import hashlib
 import math
+import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -475,6 +477,17 @@ class TestThreadedKernels:
                 result = gelu(x, out=out)
             assert np.array_equal(result.view(np.uint64), expected.view(np.uint64))
 
+    def test_gelu_workers_keep_the_callers_errstate(self, eight_workers):
+        # One -inf per row, so every block and thread meets an invalid -inf * 0.0.
+        x = np.random.default_rng(16).normal(size=(300, 1000))
+        x[:, 0] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                gelu(x)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            gelu(x)
+
     def test_run_parts_gives_the_calling_thread_the_first_part(self, eight_workers):
         ran = []
         toynet._run_parts(lambda part: ran.append((part, threading.get_ident())), list(range(5)))
@@ -588,6 +601,11 @@ class TestInputChecks:
     def test_forward_rejects_a_vector_of_tokens(self):
         with pytest.raises(DataError, match=r"\(batch, sequence\) matrix"):
             forward(ToyNet.build(SMALL), np.zeros(8, dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 0)])
+    def test_forward_rejects_an_empty_sequence(self, shape):
+        with pytest.raises(DataError, match=re.escape(f"(got shape {shape})")):
+            forward(ToyNet.build(SMALL), np.zeros(shape, dtype=np.int64))
 
     def test_forward_rejects_a_sequence_longer_than_the_position_table(self):
         with pytest.raises(DataError, match="sequence length 17 exceeds the position table"):
