@@ -288,7 +288,15 @@ def _byte_size(n_bytes: int) -> str:
 
 
 def _cmd_toy_forward(args: argparse.Namespace) -> int:
-    from .toynet import ToyNet, ToyNetConfig, count_instantiated_params, forward_with_stats
+    import numpy as np
+
+    from .toynet import (
+        ToyNet,
+        ToyNetConfig,
+        check_tokens,
+        count_instantiated_params,
+        forward_with_stats,
+    )
 
     settings = _settings(args)
     arch = _arch_from(args, settings)
@@ -309,8 +317,10 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     # Weights beyond physical memory fail before the first allocation, not after the last.
     if weight_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ConfigError(does_not_fit)
+    # A bad token fails before any weight is drawn; the net draws only the token rows read.
+    tokens = check_tokens(tokens, emb)
     try:
-        net = ToyNet.build(net_config)
+        net = ToyNet.build(net_config, token_ids=np.unique(tokens))
         out, stats = forward_with_stats(net, tokens)
     except (MemoryError, ValueError) as exc:  # ValueError: numpy refuses a size past its limits
         raise ConfigError(does_not_fit) from exc

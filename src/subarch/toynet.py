@@ -238,18 +238,20 @@ class ToyNetConfig:
 
 
 class ToyNet:
-    """One instantiated network: a config plus named weight arrays.
+    """One instantiated network: a config, named weight arrays and the token ids held.
 
     Immutable after construction; forward passes never mutate it, so a net is
     safe to share across threads.
     """
 
-    def __init__(self, config: ToyNetConfig, weights: dict[str, np.ndarray]) -> None:
+    def __init__(self, config: ToyNetConfig, weights: dict[str, np.ndarray], token_ids=None) -> None:
         self.config = config
         self.weights = dict(weights)
+        # The ids of the token-table rows held, in row order; None: every row.
+        self.token_ids = token_ids
 
     @classmethod
-    def build(cls, config: ToyNetConfig) -> "ToyNet":
+    def build(cls, config: ToyNetConfig, token_ids=None) -> "ToyNet":
         """Instantiate all weights from a seeded uniform(-1/2, 1/2) draw.
 
         Creation order is fixed, so a seed fully determines every array: the
@@ -259,14 +261,33 @@ class ToyNet:
         Fixed-size chunks are then filled on threads, each from its own
         generator advanced to the chunk's offset in the stream; that is exact
         because each double takes one 64-bit draw and u - 0.5 is exact.
+
+        token_ids, a sorted array of distinct ids in [0, vocab), makes the
+        token table hold only those rows, in that order, each drawn from its
+        own stretch of the full table's span; every other array and its
+        stream offset are unchanged. Any other value is a ValueError.
         """
+        vocab = config.emb.vocab
+        if token_ids is not None:
+            ids = np.asarray(token_ids)
+            if not (
+                ids.ndim == 1
+                and ids.dtype.kind in "iu"
+                and (ids.size == 0 or (ids[0] >= 0 and int(ids[-1]) < min(vocab, 2**63)))
+                and np.all(ids[1:] > ids[:-1])
+            ):
+                raise ValueError(
+                    f"token_ids must be a sorted 1-D integer array of distinct ids in [0, {vocab})"
+                )
+            token_ids = ids.astype(np.int64)  # a copy the caller cannot change
+            token_ids.flags.writeable = False
         weights: dict[str, np.ndarray] = {}
 
         def add(name: str, *shape: int) -> None:
             weights[name] = np.empty(shape)
 
         hidden, inter = config.arch.hidden, config.arch.intermediate
-        add("embedding.token_table", config.emb.vocab, hidden)
+        add("embedding.token_table", vocab if token_ids is None else token_ids.size, hidden)
         add("embedding.position_table", config.emb.typepos, hidden)
         add("embedding.type_table", TYPE_TABLE_ROWS, hidden)
         add("embedding.norm.scale", hidden)
@@ -287,15 +308,22 @@ class ToyNet:
         add("pooler.weight", hidden, hidden)
         add("pooler.bias", hidden)
 
-        chunks = []
+        stretches = []  # (stream offset, flat view) of each stretch to fill
         offset = 0
-        for array in weights.values():
-            flat = array.reshape(-1)
-            chunks += [
-                (offset + start, flat[start : start + _FILL_CHUNK])
-                for start in range(0, flat.size, _FILL_CHUNK)
-            ]
-            offset += flat.size
+        for name, array in weights.items():
+            if name == "embedding.token_table" and token_ids is not None:
+                # Row r is the stretch at r * hidden of the whole table's span.
+                rows = zip(token_ids.tolist(), array)
+                stretches += [(offset + r * hidden, row) for r, row in rows]
+                offset += vocab * hidden
+            else:
+                stretches.append((offset, array.reshape(-1)))
+                offset += array.size
+        chunks = [
+            (at + start, flat[start : start + _FILL_CHUNK])
+            for at, flat in stretches
+            for start in range(0, flat.size, _FILL_CHUNK)
+        ]
 
         def fill(part):
             chunk_offset, chunk = part
@@ -304,12 +332,58 @@ class ToyNet:
             chunk -= 0.5
 
         _run_parts(fill, chunks)
-        return cls(config, weights)
+        return cls(config, weights, token_ids)
 
 
 def count_instantiated_params(net: ToyNet) -> int:
-    """Total elements across all weight arrays; matches the closed-form count."""
-    return int(sum(array.size for array in net.weights.values()))
+    """Total elements across all weight arrays; matches the closed-form count.
+
+    A net that holds only some token rows counts its table at the full
+    vocab x hidden shape, as the closed form does.
+    """
+    total = sum(array.size for array in net.weights.values())
+    if net.token_ids is not None:
+        total += (net.config.emb.vocab - net.token_ids.size) * net.config.arch.hidden
+    return int(total)
+
+
+def check_tokens(tokens, emb: EmbeddingConfig) -> np.ndarray:
+    """tokens as an array, once it is a (batch, sequence) matrix of integer
+    ids in [0, vocab) no longer than the position table; else a DataError
+    naming the first fault."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2 or tokens.shape[1] == 0:
+        raise DataError(
+            f"token input must be a (batch, sequence) matrix with a sequence of at least one id"
+            f" (got shape {tokens.shape})"
+        )
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise DataError(f"token ids must be integers (got dtype {tokens.dtype})")
+    if tokens.shape[1] > emb.typepos:
+        raise DataError(
+            f"sequence length {tokens.shape[1]} exceeds the position table size {emb.typepos}"
+        )
+    out_of_range = (tokens < 0) | (tokens >= emb.vocab)
+    if out_of_range.any():
+        row, col = np.argwhere(out_of_range)[0]
+        raise DataError(
+            f"token id {tokens[row, col]} out of range [0, {emb.vocab})"
+            f" at batch {row}, position {col}"
+        )
+    return tokens
+
+
+def _held_rows(token_ids: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """The row of a partial token table that holds each id of tokens, or a
+    DataError naming the first id it does not hold."""
+    held = np.isin(tokens, token_ids)
+    if not held.all():
+        row, col = np.argwhere(~held)[0]
+        raise DataError(
+            f"token id {tokens[row, col]} at batch {row}, position {col} is not among the"
+            f" {token_ids.size} token-table rows this net holds"
+        )
+    return np.searchsorted(token_ids, tokens)
 
 
 def _encoder_block(x, weights, base: str, heads: int, eps: float, stats):
@@ -350,32 +424,15 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
     """
     cfg = net.config
     weights = net.weights
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 2 or tokens.shape[1] == 0:
-        raise DataError(
-            f"token input must be a (batch, sequence) matrix with a sequence of at least one id"
-            f" (got shape {tokens.shape})"
-        )
-    if not np.issubdtype(tokens.dtype, np.integer):
-        raise DataError(f"token ids must be integers (got dtype {tokens.dtype})")
-    batch, seq = tokens.shape
-    if seq > cfg.emb.typepos:
-        raise DataError(
-            f"sequence length {seq} exceeds the position table size {cfg.emb.typepos}"
-        )
-    out_of_range = (tokens < 0) | (tokens >= cfg.emb.vocab)
-    if out_of_range.any():
-        row, col = np.argwhere(out_of_range)[0]
-        raise DataError(
-            f"token id {tokens[row, col]} out of range [0, {cfg.emb.vocab})"
-            f" at batch {row}, position {col}"
-        )
+    tokens = check_tokens(tokens, cfg.emb)
+    rows = tokens if net.token_ids is None else _held_rows(net.token_ids, tokens)
 
     # One sequence at a time: every step works per sequence or per row, so
     # the bits match the whole-batch pipeline and only the output grows with
     # the batch. Position indices run 0..seq-1 and all type indices are 0.
+    batch, seq = tokens.shape
     out = np.empty((batch, seq, cfg.arch.hidden))
-    for ids, row in zip(tokens, out):
+    for ids, row in zip(rows, out):
         x = (
             weights["embedding.token_table"][ids]
             + weights["embedding.position_table"][:seq]

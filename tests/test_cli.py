@@ -418,6 +418,20 @@ class TestToyForward:
         assert code == 3
         assert "out of range" in err
 
+    def test_out_of_range_token_exits_3_before_building(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the net was built")
+
+        monkeypatch.setattr(toynet.ToyNet, "build", classmethod(no_build))
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("\n".join(["0"] * 10 + ["40"] + ["1"] * 5) + "\n")
+        code, out, err = run_cli(
+            capsys, "toy-forward", str(tokens), "--config", self._config(tmp_path)
+        )
+        assert code == 3
+        assert "token id 40 out of range [0, 32) at batch 1, position 2" in err
+        assert out == ""
+
     def test_token_id_beyond_int64_exits_3(self, tmp_path, capsys):
         tokens = tmp_path / "tokens.txt"
         tokens.write_text("\n".join(["0"] * 7 + [str(2**63)]) + "\n")

@@ -510,6 +510,71 @@ class TestThreadedKernels:
             toynet._run_parts(fn, list(range(5)))
 
 
+class TestDrawnTokenRows:
+    """build(config, token_ids) draws only those token rows, with the full build's bits."""
+
+    @pytest.mark.parametrize("seed", [0, 2**40 + 7])
+    def test_drawn_rows_and_forward_match_the_full_build(self, seed, eight_workers, monkeypatch):
+        # 5-element chunks: the full table's 8-wide rows straddle chunk
+        # boundaries, and each drawn row is filled in two pieces.
+        monkeypatch.setattr(toynet, "_FILL_CHUNK", 5)
+        cfg = ToyNetConfig(arch=SMALL.arch, emb=SMALL.emb, seed=seed)
+        ids = np.array([0, 1, 7, 12, 20, 31])  # id 0 and id vocab-1
+        full = ToyNet.build(cfg)
+        drawn = ToyNet.build(cfg, token_ids=ids)
+        assert drawn.token_ids.tolist() == ids.tolist()
+        assert list(drawn.weights) == list(full.weights)
+        table = "embedding.token_table"
+        assert drawn.weights[table].tobytes() == full.weights[table][ids].tobytes()
+        assert all(
+            drawn.weights[k].tobytes() == full.weights[k].tobytes() for k in full.weights
+            if k != table
+        )
+        tokens = np.random.default_rng(seed % 97).choice(ids, size=(3, 8))  # ids repeat
+        tokens[0, :3] = 31
+        assert forward(drawn, tokens).tobytes() == forward(full, tokens).tobytes()
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[3, 1], [1, 1, 2], [-1, 2], [0, 32], [[0, 1]], [0.0, 1.0], [True]],
+        ids=["unsorted", "duplicate", "negative", "vocab", "two_axes", "float", "bool"],
+    )
+    def test_build_rejects_other_token_ids(self, ids):
+        with pytest.raises(ValueError, match="token_ids"):
+            ToyNet.build(SMALL, token_ids=np.array(ids))
+
+    def test_forward_on_an_id_not_held_names_it(self):
+        net = ToyNet.build(SMALL, token_ids=[0, 5, 31])
+        tokens = np.array([[0, 5, 31, 5, 0, 0, 0, 0], [5, 5, 0, 31, 6, 0, 0, 0]])
+        with pytest.raises(DataError, match=r"token id 6 at batch 1, position 4 is not among"):
+            forward(net, tokens)
+        with pytest.raises(DataError, match=r"token id 0 at batch 0, position 0 is not among"):
+            forward(ToyNet.build(SMALL, token_ids=np.array([], dtype=np.int64)), tokens)
+
+    def test_count_is_the_closed_form_on_a_partial_net(self):
+        partial = ToyNet.build(SMALL, token_ids=[2, 9])
+        assert partial.weights["embedding.token_table"].shape == (2, 8)
+        assert (
+            count_instantiated_params(partial)
+            == count_instantiated_params(ToyNet.build(SMALL))
+            == param_count(SMALL.arch, SMALL.emb)
+        )
+
+    def test_memory_holds_the_drawn_rows_not_the_table(self):
+        # The full 50,265 x 64 table is 24.5 MiB; 16 drawn rows are 8 KiB.
+        cfg = ToyNetConfig(arch=ArchParams(2, 2, 64, 128), emb=EmbeddingConfig(50_265, 16, 8, 1))
+        ids = np.arange(0, 50_265, 3_141)[:16]
+        rest = param_count(cfg.arch, cfg.emb) - cfg.emb.vocab * 64
+        tracemalloc.start()
+        try:
+            net = ToyNet.build(cfg, token_ids=ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.weights["embedding.token_table"].shape == (16, 64)
+        assert peak < (rest + 16 * 64) * 8 + 512 * 1024
+
+
 class TestInstantiatedCount:
     def test_hand_value(self):
         # 2*(4*64 + 2*8*16 + 72 + 16) + 64 + (32+16+6)*8 = 1696
