@@ -17,8 +17,6 @@ from typing import TYPE_CHECKING
 from . import config as config_mod
 from .costs import cost_breakdown, dominance_report, param_count
 from .engine import (
-    ANALYTIC,
-    INGESTED,
     SearchConfig,
     render_json,
     render_text,
@@ -247,7 +245,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         maxpoint=maxpoint,
         emb=emb,
         epsilon=settings["epsilon"],
-        metric_mode=ANALYTIC if measurements is None else INGESTED,
         error_model=config_mod.error_model_from(settings) if measurements is None else None,
         top_k=settings["top_k"],
         n_steps=settings["n_steps"],
@@ -288,8 +285,6 @@ def _byte_size(n_bytes: int) -> str:
 
 
 def _cmd_toy_forward(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .toynet import (
         ToyNet,
         ToyNetConfig,
@@ -320,7 +315,7 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     # A bad token fails before any weight is drawn; the net draws only the token rows read.
     tokens = check_tokens(tokens, emb)
     try:
-        net = ToyNet.build(net_config, token_ids=np.unique(tokens))
+        net = ToyNet.build(net_config, tokens=tokens)
         out, stats = forward_with_stats(net, tokens)
     except (MemoryError, ValueError) as exc:  # ValueError: numpy refuses a size past its limits
         raise ConfigError(does_not_fit) from exc
@@ -354,7 +349,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DataError, VerificationError) as exc:
-        print(f"{exc.label}: {exc}", file=sys.stderr)
+        try:
+            print(f"{exc.label}: {exc}", file=sys.stderr)
+        except (OSError, ValueError):  # the exit flush must not fail too: fd 2 to devnull
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return exc.exit_code
 
 

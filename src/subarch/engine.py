@@ -40,7 +40,6 @@ from .space import (
 
 ANALYTIC = "analytic"
 INGESTED = "ingested"
-METRIC_MODES = (ANALYTIC, INGESTED)
 
 EXCEEDS_PARAMS = "exceeds_maxpoint_params"
 EXCEEDS_LATENCY = "exceeds_maxpoint_latency"
@@ -85,21 +84,14 @@ class SearchConfig:
     maxpoint: MaxPoint
     emb: EmbeddingConfig
     epsilon: int = 1
-    metric_mode: str = ANALYTIC
     error_model: ErrorModel | None = None
     top_k: int | None = None
     n_steps: int = 3
 
     def __post_init__(self) -> None:
-        if self.metric_mode not in METRIC_MODES:
-            raise ConfigError(
-                f"metric_mode must be one of {METRIC_MODES} (got {self.metric_mode!r})"
-            )
         if self.top_k is not None:
             positive_int(self.top_k, "top_k")
         positive_int(self.n_steps, "n_steps")
-        if self.metric_mode == ANALYTIC and self.error_model is None:
-            raise ConfigError("analytic mode requires an error model")
 
     @cached_property
     def candidates(self) -> list[ArchParams]:
@@ -202,21 +194,24 @@ def run_extraction(
 ) -> ExtractionReport:
     """Full pipeline: stride, enumerate, attach metrics, rank, wrap with provenance.
 
-    Deterministic: identical inputs produce an identical report object and
-    byte-identical renderings. The metric mode fixes the latency unit of the
-    whole run, maximum point included; the header records it for the renderers.
+    Without measurements the run is analytic and needs config.error_model; with
+    them it is ingested and takes none, as each measurement carries its own error.
+    The mode fixes the whole run's latency unit, maximum point included, and the
+    header records it. Identical inputs give an identical report and renderings.
     """
-    if config.metric_mode == ANALYTIC:
-        error_of = config.error_model.error
+    if measurements is None:
+        if config.error_model is None:
+            raise ConfigError("analytic mode requires an error model")
+        metric_mode, error_of = ANALYTIC, config.error_model.error
         metric_map: Mapping[ArchParams, MetricTriple] = {
             arch: analytic_metrics(arch, config.emb, error_of) for arch in config.candidates
         }
         error_source = config.error_model.describe()
         latency_unit, latency_basis = "flops", "the closed-form FLOP count"
     else:
-        if measurements is None:
-            raise ConfigError("ingested mode requires a measurement source")
-        metric_map = measurements
+        if config.error_model is not None:
+            raise ConfigError("ingested mode takes no error model: measurements carry their own")
+        metric_mode, metric_map = INGESTED, measurements
         error_source = "ingested measurement records"
         latency_unit, latency_basis = "seconds_per_sample", "measured seconds per sample"
 
@@ -224,7 +219,7 @@ def run_extraction(
     t = config.maxpoint
     header = {
         "report": "optimal-subarchitecture ranking",
-        "metric_mode": config.metric_mode,
+        "metric_mode": metric_mode,
         "latency_unit": latency_unit,
         "epsilon": config.epsilon,
         "n_steps": config.n_steps,

@@ -105,7 +105,6 @@ def _random_ranking_instance(rng: np.random.Generator):
         maxpoint=metrics.MaxPoint(REFERENCE_MAXPOINT, metrics.MetricTriple(200.0, 200.0, 1.0)),
         emb=REFERENCE_EMBEDDING,
         epsilon=1,
-        metric_mode=engine.INGESTED,
     )
     return config, metric_map
 
@@ -232,7 +231,7 @@ def check_toynet_invariants() -> CheckResult:
         return CheckResult(name, False, "forward output out of [-1, 1] or mis-shaped")
     if not np.array_equal(out, toynet.forward(net, tokens)):
         return CheckResult(name, False, "repeated forward passes are not bitwise identical")
-    drawn = toynet.ToyNet.build(cfg, token_ids=np.unique(tokens))
+    drawn = toynet.ToyNet.build(cfg, tokens=tokens)
     if toynet.forward(drawn, tokens).tobytes() != out.tobytes():
         return CheckResult(name, False, "a net of only the token rows read gives another output")
 

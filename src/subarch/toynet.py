@@ -128,6 +128,8 @@ def softmax(x, axis: int = -1):
     The exponent and the division reuse the buffer of shifted values (a
     float one); the input is never written.
     """
+    if np.ndim(x) == 0:
+        raise ValueError(f"softmax needs an input with at least one axis (got shape {np.shape(x)})")
     shifted = x - np.max(x, axis=axis, keepdims=True)
     weights = np.exp(shifted, out=shifted if shifted.dtype.kind == "f" else None)
     weights /= np.sum(weights, axis=axis, keepdims=True)
@@ -147,6 +149,8 @@ def layer_norm(x, scale, shift, eps: float = 1e-5):
     x = np.asarray(x, dtype=float)
     scale = np.asarray(scale, dtype=float)
     shift = np.asarray(shift, dtype=float)
+    if x.ndim == 0:
+        raise ValueError(f"layer_norm needs an input with at least one axis (got shape {x.shape})")
     if x.shape[-1] < 1 or scale.shape != (x.shape[-1],) or shift.shape != (x.shape[-1],):
         raise ValueError("scale and shift must match the last axis of x")
     mean = x.mean(axis=-1, keepdims=True)
@@ -244,14 +248,14 @@ class ToyNet:
     safe to share across threads.
     """
 
-    def __init__(self, config: ToyNetConfig, weights: dict[str, np.ndarray], token_ids=None) -> None:
+    def __init__(self, config: ToyNetConfig, weights: dict[str, np.ndarray]) -> None:
         self.config = config
         self.weights = dict(weights)
-        # The ids of the token-table rows held, in row order; None: every row.
-        self.token_ids = token_ids
+        # The ids of the token-table rows held, ascending, as build sets them; None: every row.
+        self.token_ids: np.ndarray | None = None
 
     @classmethod
-    def build(cls, config: ToyNetConfig, token_ids=None) -> "ToyNet":
+    def build(cls, config: ToyNetConfig, tokens=None) -> "ToyNet":
         """Instantiate all weights from a seeded uniform(-1/2, 1/2) draw.
 
         Creation order is fixed, so a seed fully determines every array: the
@@ -262,24 +266,15 @@ class ToyNet:
         generator advanced to the chunk's offset in the stream; that is exact
         because each double takes one 64-bit draw and u - 0.5 is exact.
 
-        token_ids, a sorted array of distinct ids in [0, vocab), makes the
-        token table hold only those rows, in that order, each drawn from its
-        own stretch of the full table's span; every other array and its
-        stream offset are unchanged. Any other value is a ValueError.
+        tokens, a token matrix as forward takes it, makes the token table hold
+        only the rows of its distinct ids, ascending, each drawn from its own
+        stretch of the full table's span; every other array and its stream
+        offset are unchanged. check_tokens raises its DataError for a bad matrix.
         """
         vocab = config.emb.vocab
-        if token_ids is not None:
-            ids = np.asarray(token_ids)
-            if not (
-                ids.ndim == 1
-                and ids.dtype.kind in "iu"
-                and (ids.size == 0 or (ids[0] >= 0 and int(ids[-1]) < min(vocab, 2**63)))
-                and np.all(ids[1:] > ids[:-1])
-            ):
-                raise ValueError(
-                    f"token_ids must be a sorted 1-D integer array of distinct ids in [0, {vocab})"
-                )
-            token_ids = ids.astype(np.int64)  # a copy the caller cannot change
+        token_ids = None
+        if tokens is not None:  # a fresh array the caller cannot change
+            token_ids = np.unique(check_tokens(tokens, config.emb)).astype(np.int64)
             token_ids.flags.writeable = False
         weights: dict[str, np.ndarray] = {}
 
@@ -332,7 +327,9 @@ class ToyNet:
             chunk -= 0.5
 
         _run_parts(fill, chunks)
-        return cls(config, weights, token_ids)
+        net = cls(config, weights)
+        net.token_ids = token_ids
+        return net
 
 
 def count_instantiated_params(net: ToyNet) -> int:

@@ -29,8 +29,6 @@ from subarch.costs import (
     shape_oracle_params,
 )
 from subarch.engine import (
-    ANALYTIC,
-    INGESTED,
     SearchConfig,
     rank_candidates,
     run_extraction,
@@ -185,7 +183,7 @@ def test_criterion_07_w_coefficient_property_suite():
         archs = enumerate_space(space)
         assert len(archs) == 16
         config = SearchConfig(
-            space=space, maxpoint=maxpoint, emb=ROBERTA_EMB, metric_mode=INGESTED
+            space=space, maxpoint=maxpoint, emb=ROBERTA_EMB
         )
         for set_index in range(1000):
             table = {
@@ -228,7 +226,6 @@ def test_criterion_08_stated_substitutions():
             maxpoint=analytic_maxpoint(ROBERTA_LARGE, ROBERTA_EMB),
             emb=ROBERTA_EMB,
             epsilon=1,
-            metric_mode=ANALYTIC,
             error_model=ConstantErrorModel(1.0),
             top_k=3,
         )
@@ -254,7 +251,6 @@ def test_criterion_08_stated_substitutions():
             space=SearchSpace((4,), (8,), (1024,), (512, 768)),
             maxpoint=maxpoint_from_measurements(ROBERTA_LARGE, table),
             emb=ROBERTA_EMB,
-            metric_mode=INGESTED,
         )
         ingested_report = run_extraction(ingested_config, table)
         ws = [row.w_coefficient for row in ingested_report.result.ranked]

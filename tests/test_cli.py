@@ -988,6 +988,43 @@ class TestStdoutWriteFailure:
         )
 
 
+class TestStderrWriteFailure:
+    """A stderr that cannot take the diagnostic leaves the documented exit code as it is."""
+
+    CASES = [
+        pytest.param(("rank", "--config", DEMO_CONFIG, "--set", "top_k=x"), 2, id="config"),
+        pytest.param(
+            ("rank", "--config", DEMO_CONFIG, "--measurements", "missing.jsonl"), 3, id="data"
+        ),
+        # The report fails to reach stdout first: a config error.
+        pytest.param(("rank", "--config", DEMO_CONFIG, "--format", "json"), 2, id="stdout"),
+    ]
+
+    def _run(self, tmp_path, stdout, stderr, argv):
+        return subprocess.run(
+            [sys.executable, "-m", "subarch", *argv],
+            stdout=stdout, stderr=stderr, cwd=tmp_path, timeout=120,
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv,code", CASES[:2])
+    def test_full_device(self, tmp_path, argv, code):
+        with open("/dev/full", "w") as full:
+            proc = self._run(tmp_path, subprocess.PIPE, full, argv)
+        assert proc.returncode == code
+        assert proc.stdout == b""
+
+    @pytest.mark.parametrize("argv,code", CASES)
+    def test_pipe_closed_before_the_writes(self, tmp_path, argv, code):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._run(tmp_path, write_end, write_end, argv)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+
+
 # A grid whose ingested run both ranks and excludes: <4,16,1024,768> is
 # slower than the maximum point, so the maximum-point rule excludes it.
 _PINNED_GRID = {

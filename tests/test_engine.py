@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import BORT, ROBERTA_EMB, ROBERTA_LARGE, grid_space
 from subarch import engine
 from subarch.engine import (
-    ANALYTIC,
     EXCEEDS_LATENCY,
     EXCEEDS_PARAMS,
     INGESTED,
@@ -84,7 +83,6 @@ def tiny_config(maxpoint, space=None, **kwargs):
         maxpoint=maxpoint,
         emb=ROBERTA_EMB,
         epsilon=1,
-        metric_mode=INGESTED,
         **kwargs,
     )
 
@@ -177,7 +175,6 @@ class TestRunExtraction:
             maxpoint=analytic_maxpoint(ROBERTA_LARGE, ROBERTA_EMB),
             emb=ROBERTA_EMB,
             epsilon=epsilon,
-            metric_mode=ANALYTIC,
             error_model=ConstantErrorModel(1.0),
             **kwargs,
         )
@@ -221,24 +218,27 @@ class TestRunExtraction:
         assert render_json(first) == render_json(second)
         assert render_text(first) == render_text(second)
 
-    def test_ingested_requires_source(self):
-        config = SearchConfig(
-            space=grid_space(),
-            maxpoint=make_maxpoint(),
-            emb=ROBERTA_EMB,
-            metric_mode=INGESTED,
-        )
-        with pytest.raises(ConfigError, match="measurement source"):
-            run_extraction(config)
+    def test_measurements_alone_run_ingested(self):
+        table = {
+            ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0),
+            ArchParams(2, 4, 8, 4): MetricTriple(40, 5, 0.5),
+            ArchParams(2, 8, 8, 4): MetricTriple(60, 6, 2.0),
+        }
+        report = run_extraction(tiny_config(make_maxpoint()), table)
+        assert report.header["metric_mode"] == INGESTED
+        assert report.header["error_provider"] == "ingested measurement records"
+        assert {row.arch: row.metrics for row in report.result.ranked} == table
 
     def test_analytic_requires_error_model(self):
-        with pytest.raises(ConfigError, match="error model"):
-            SearchConfig(
-                space=grid_space(),
-                maxpoint=make_maxpoint(),
-                emb=ROBERTA_EMB,
-                metric_mode=ANALYTIC,
-            )
+        config = SearchConfig(space=grid_space(), maxpoint=make_maxpoint(), emb=ROBERTA_EMB)
+        with pytest.raises(ConfigError, match="analytic mode requires an error model"):
+            run_extraction(config)
+
+    def test_ingested_rejects_an_error_model(self):
+        config = tiny_config(make_maxpoint(), error_model=ConstantErrorModel(1.0))
+        table = {arch: MetricTriple(50, 5, 1.0) for arch in config.candidates}
+        with pytest.raises(ConfigError, match="ingested mode takes no error model"):
+            run_extraction(config, table)
 
     def test_render_text_has_columns_and_appendix(self):
         maxpoint = make_maxpoint()

@@ -511,7 +511,7 @@ class TestThreadedKernels:
 
 
 class TestDrawnTokenRows:
-    """build(config, token_ids) draws only those token rows, with the full build's bits."""
+    """build(config, tokens) draws only the token rows read, with the full build's bits."""
 
     @pytest.mark.parametrize("seed", [0, 2**40 + 7])
     def test_drawn_rows_and_forward_match_the_full_build(self, seed, eight_workers, monkeypatch):
@@ -520,9 +520,13 @@ class TestDrawnTokenRows:
         monkeypatch.setattr(toynet, "_FILL_CHUNK", 5)
         cfg = ToyNetConfig(arch=SMALL.arch, emb=SMALL.emb, seed=seed)
         ids = np.array([0, 1, 7, 12, 20, 31])  # id 0 and id vocab-1
+        tokens = np.random.default_rng(seed % 97).choice(ids, size=(3, 8))  # ids repeat
+        tokens[0, :3] = 31
+        tokens[1, :6] = ids[::-1]  # every id, unsorted
         full = ToyNet.build(cfg)
-        drawn = ToyNet.build(cfg, token_ids=ids)
-        assert drawn.token_ids.tolist() == ids.tolist()
+        drawn = ToyNet.build(cfg, tokens=tokens)
+        assert drawn.token_ids.tolist() == np.unique(tokens).tolist() == ids.tolist()
+        assert drawn.token_ids.dtype == np.int64 and not drawn.token_ids.flags.writeable
         assert list(drawn.weights) == list(full.weights)
         table = "embedding.token_table"
         assert drawn.weights[table].tobytes() == full.weights[table][ids].tobytes()
@@ -530,29 +534,30 @@ class TestDrawnTokenRows:
             drawn.weights[k].tobytes() == full.weights[k].tobytes() for k in full.weights
             if k != table
         )
-        tokens = np.random.default_rng(seed % 97).choice(ids, size=(3, 8))  # ids repeat
-        tokens[0, :3] = 31
         assert forward(drawn, tokens).tobytes() == forward(full, tokens).tobytes()
 
     @pytest.mark.parametrize(
-        "ids",
-        [[3, 1], [1, 1, 2], [-1, 2], [0, 32], [[0, 1]], [0.0, 1.0], [True]],
-        ids=["unsorted", "duplicate", "negative", "vocab", "two_axes", "float", "bool"],
+        "tokens",
+        [[[-1, 2]], [[0, 32]], [0, 1], [[0.0, 1.0]], [[True]]],
+        ids=["negative", "vocab", "one_axis", "float", "bool"],
     )
-    def test_build_rejects_other_token_ids(self, ids):
-        with pytest.raises(ValueError, match="token_ids"):
-            ToyNet.build(SMALL, token_ids=np.array(ids))
+    def test_build_rejects_other_token_ids(self, tokens):
+        with pytest.raises(DataError) as from_build:
+            ToyNet.build(SMALL, tokens=np.array(tokens))
+        with pytest.raises(DataError) as from_forward:
+            forward(ToyNet.build(SMALL), np.array(tokens))
+        assert str(from_build.value) == str(from_forward.value)
 
     def test_forward_on_an_id_not_held_names_it(self):
-        net = ToyNet.build(SMALL, token_ids=[0, 5, 31])
+        net = ToyNet.build(SMALL, tokens=[[31, 0, 5, 0]])
         tokens = np.array([[0, 5, 31, 5, 0, 0, 0, 0], [5, 5, 0, 31, 6, 0, 0, 0]])
         with pytest.raises(DataError, match=r"token id 6 at batch 1, position 4 is not among"):
             forward(net, tokens)
         with pytest.raises(DataError, match=r"token id 0 at batch 0, position 0 is not among"):
-            forward(ToyNet.build(SMALL, token_ids=np.array([], dtype=np.int64)), tokens)
+            forward(ToyNet.build(SMALL, tokens=np.zeros((0, 8), dtype=np.int64)), tokens)
 
     def test_count_is_the_closed_form_on_a_partial_net(self):
-        partial = ToyNet.build(SMALL, token_ids=[2, 9])
+        partial = ToyNet.build(SMALL, tokens=[[9, 2, 9]])
         assert partial.weights["embedding.token_table"].shape == (2, 8)
         assert (
             count_instantiated_params(partial)
@@ -567,7 +572,7 @@ class TestDrawnTokenRows:
         rest = param_count(cfg.arch, cfg.emb) - cfg.emb.vocab * 64
         tracemalloc.start()
         try:
-            net = ToyNet.build(cfg, token_ids=ids)
+            net = ToyNet.build(cfg, tokens=ids.reshape(2, 8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -675,6 +680,17 @@ class TestInputChecks:
     def test_forward_rejects_a_sequence_longer_than_the_position_table(self):
         with pytest.raises(DataError, match="sequence length 17 exceeds the position table"):
             forward(ToyNet.build(SMALL), np.zeros((1, 17), dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "kernel", [softmax, lambda x: layer_norm(x, np.ones(1), np.zeros(1))],
+        ids=["softmax", "layer_norm"],
+    )
+    @pytest.mark.parametrize(
+        "x", [np.float64(1.0), np.array(1.0), 1.0], ids=["numpy_scalar", "zero_d", "float"]
+    )
+    def test_kernels_reject_an_input_with_no_axis(self, kernel, x):
+        with pytest.raises(ValueError, match=re.escape("at least one axis (got shape ())")):
+            kernel(x)
 
     @pytest.mark.parametrize("which", ["scale", "shift"])
     def test_layer_norm_rejects_a_mismatched_affine_pair(self, which):
