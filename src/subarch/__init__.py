@@ -38,10 +38,8 @@ from .metrics import (
     MeasurementRecord,
     MetricTriple,
     SyntheticErrorModel,
-    analytic_maxpoint,
     analytic_metrics,
     ingest_measurements,
-    maxpoint_from_measurements,
     parse_measurements,
     serialize_measurements,
 )

@@ -23,11 +23,7 @@ from .engine import (
     run_extraction,
 )
 from .errors import ConfigError, DataError, VerificationError
-from .metrics import (
-    analytic_maxpoint,
-    ingest_measurements,
-    maxpoint_from_measurements,
-)
+from .metrics import ingest_measurements
 from .space import ArchParams, EmbeddingConfig, enumerate_space, stride_subsample
 
 if TYPE_CHECKING:
@@ -231,14 +227,17 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     settings = _settings(args)
     space = config_mod.space_from(settings)
     emb = config_mod.embedding_from(settings)
-    maxpoint_arch = config_mod.parse_arch(settings["maxpoint"])
+    maxpoint = config_mod.parse_arch(settings["maxpoint"])
 
-    if args.measurements is None:
-        measurements, maxpoint = None, analytic_maxpoint(maxpoint_arch, emb)
-    else:
+    measurements = None
+    if args.measurements is not None:
+        if settings["error"] != config_mod.DEFAULTS["error"]:
+            raise ConfigError(
+                "config key 'error' is set, but ingested mode takes no error model:"
+                " measurements carry their own"
+            )
         text = config_mod.read_input(args.measurements, "measurements file", DataError)
         measurements = ingest_measurements(text, emb)
-        maxpoint = maxpoint_from_measurements(maxpoint_arch, measurements)
 
     run_config = SearchConfig(
         space=space,
@@ -285,6 +284,8 @@ def _byte_size(n_bytes: int) -> str:
 
 
 def _cmd_toy_forward(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .toynet import (
         ToyNet,
         ToyNetConfig,
@@ -303,8 +304,11 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
         layernorm_eps=settings["layernorm_eps"],
         seed=settings["seed"],
     )
-    tokens = _read_tokens(args.tokens, emb.seq)
-    weight_bytes = param_count(arch, emb) * 8
+    # A bad token fails before any weight is drawn. The net draws only the
+    # token-table rows read, so its weights are the count less the rows left out.
+    tokens = check_tokens(_read_tokens(args.tokens, emb.seq), emb)
+    rows_left_out = emb.vocab - np.unique(tokens).size
+    weight_bytes = (param_count(arch, emb) - rows_left_out * arch.hidden) * 8
     does_not_fit = (
         f"toy network {arch} does not fit in memory: its float64 weights alone"
         f" take {_byte_size(weight_bytes)}"
@@ -312,8 +316,6 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     # Weights beyond physical memory fail before the first allocation, not after the last.
     if weight_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ConfigError(does_not_fit)
-    # A bad token fails before any weight is drawn; the net draws only the token rows read.
-    tokens = check_tokens(tokens, emb)
     try:
         net = ToyNet.build(net_config, tokens=tokens)
         out, stats = forward_with_stats(net, tokens)

@@ -76,12 +76,14 @@ def exceed_flags(candidate: MetricTriple, maxpoint: MaxPoint) -> frozenset[str]:
 class SearchConfig:
     """Everything one extraction run depends on.
 
-    n_steps is recorded provenance only: no surrogate training happens here.
-    top_k of None returns the full ranking.
+    maxpoint is the maximum point's architecture: its metrics come from the
+    run's own metric map, so they are in the candidates' units. n_steps is
+    recorded provenance only: no surrogate training happens here. top_k of
+    None returns the full ranking.
     """
 
     space: SearchSpace
-    maxpoint: MaxPoint
+    maxpoint: ArchParams
     emb: EmbeddingConfig
     epsilon: int = 1
     error_model: ErrorModel | None = None
@@ -128,18 +130,23 @@ class RankingResult:
 def rank_candidates(
     config: SearchConfig, metrics: Mapping[ArchParams, MetricTriple]
 ) -> RankingResult:
-    """Enumerate, score and sort the candidates of one run.
+    """Score and sort the candidates of one run against metrics[config.maxpoint].
 
-    Sort order is w_coefficient descending with ties broken ascending on
-    (depth, heads, hidden, intermediate); ranks are contiguous from 1. The
-    top_k slice applies after ranking, and only the shown rows become
-    reports. Candidates exceeding the maximum point are collected separately,
-    in architecture order. A w_coefficient that a float cannot hold is an
-    error naming the candidate: ConfigError when an exact count is too large
-    to convert, DataError when the arithmetic overflows to inf or NaN.
+    A metric map without the maximum point is a DataError, raised before the
+    candidates are enumerated. Sort order is w_coefficient descending with
+    ties broken ascending on (depth, heads, hidden, intermediate); ranks are
+    contiguous from 1. The top_k slice applies after ranking, and only the
+    shown rows become reports. Candidates exceeding the maximum point are
+    collected separately, in architecture order. A w_coefficient that a float
+    cannot hold is an error naming the candidate: ConfigError when an exact
+    count is too large to convert, DataError when the arithmetic overflows to
+    inf or NaN.
     """
+    t = metrics.get(config.maxpoint)
+    if t is None:
+        raise DataError(f"maximum-point architecture {config.maxpoint} has no measurement record")
+    maxpoint = MaxPoint(config.maxpoint, t)
     candidates = config.candidates
-    maxpoint = config.maxpoint
     scored: list[tuple[float, ArchParams, MetricTriple]] = []
     excluded: list[CandidateReport] = []
     for arch in candidates:
@@ -196,16 +203,20 @@ def run_extraction(
 
     Without measurements the run is analytic and needs config.error_model; with
     them it is ingested and takes none, as each measurement carries its own error.
-    The mode fixes the whole run's latency unit, maximum point included, and the
-    header records it. Identical inputs give an identical report and renderings.
+    The mode fixes the whole run's latency unit, and the header records it. The
+    maximum point's metrics come from the same map as the candidates': analytic
+    mode puts its closed-form triple there first, and ingested mode reads its
+    record. Identical inputs give an identical report and renderings.
     """
     if measurements is None:
         if config.error_model is None:
             raise ConfigError("analytic mode requires an error model")
         metric_mode, error_of = ANALYTIC, config.error_model.error
-        metric_map: Mapping[ArchParams, MetricTriple] = {
-            arch: analytic_metrics(arch, config.emb, error_of) for arch in config.candidates
-        }
+        # The maximum point first, so its faults come before any of the candidates'.
+        metric_map = {config.maxpoint: analytic_metrics(config.maxpoint, config.emb, error_of)}
+        metric_map.update(
+            (arch, analytic_metrics(arch, config.emb, error_of)) for arch in config.candidates
+        )
         error_source = config.error_model.describe()
         latency_unit, latency_basis = "flops", "the closed-form FLOP count"
     else:
@@ -216,7 +227,7 @@ def run_extraction(
         latency_unit, latency_basis = "seconds_per_sample", "measured seconds per sample"
 
     result = rank_candidates(config, metric_map)
-    t = config.maxpoint
+    t = metric_map[config.maxpoint]
     header = {
         "report": "optimal-subarchitecture ranking",
         "metric_mode": metric_mode,
@@ -224,9 +235,9 @@ def run_extraction(
         "epsilon": config.epsilon,
         "n_steps": config.n_steps,
         "maxpoint": {
-            "arch": list(t.arch.as_tuple()),
-            "param_size": t.metrics.param_size,
-            "latency": t.metrics.latency,
+            "arch": list(config.maxpoint.as_tuple()),
+            "param_size": t.param_size,
+            "latency": t.latency,
         },
         "embedding": asdict(config.emb),
         "error_provider": error_source,

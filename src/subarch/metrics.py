@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .costs import flop_count, param_count
 from .errors import ConfigError, DataError
@@ -157,33 +157,30 @@ def ingest_measurements(
     }
 
 
-def _flops_triple(arch: ArchParams, param_size: int, error: float) -> MetricTriple:
-    """A triple with the closed-form FLOP count as latency.
-
-    The exact count must convert to a float for the finiteness check; a count
-    beyond the float range is a ConfigError naming the architecture.
-    """
-    try:
-        return MetricTriple(param_size, flop_count(arch), error)
-    except OverflowError as exc:
-        raise ConfigError(f"the FLOP count of architecture {arch} is too large for a float") from exc
-
-
 def analytic_metrics(
     arch: ArchParams, emb: EmbeddingConfig, error_of: Callable[[int], float]
 ) -> MetricTriple:
     """Closed-form parameter and FLOP surrogates, plus error_of(parameter count).
 
     param_count runs first: it raises ConfigError for an invalid architecture
-    before the error is asked for.
+    before the error is asked for. An exact count that a float cannot hold,
+    in the error or in the FLOP count's finiteness check, is a ConfigError
+    naming the architecture.
     """
     param_size = param_count(arch, emb)
     try:
         error = error_of(param_size)
+    except OverflowError as exc:
+        raise ConfigError(
+            f"surrogate error for architecture {arch}: its parameter count is too large for a float"
+        ) from exc
     except Exception as exc:
         raise DataError(f"error provider failed for architecture {arch}: {exc}") from exc
     finite_positive(error, f"surrogate error for architecture {arch}", DataError)
-    return _flops_triple(arch, param_size, error)
+    try:
+        return MetricTriple(param_size, flop_count(arch), error)
+    except OverflowError as exc:
+        raise ConfigError(f"the FLOP count of architecture {arch} is too large for a float") from exc
 
 
 @dataclass(frozen=True)
@@ -225,18 +222,3 @@ class SyntheticErrorModel:
 # so a candidate's error is the same for every head count.
 ErrorModel = ConstantErrorModel | SyntheticErrorModel
 
-
-def analytic_maxpoint(arch: ArchParams, emb: EmbeddingConfig) -> MaxPoint:
-    """Maximum point with closed-form parameter and FLOP metrics."""
-    # The error slot is unused for the maximum point; 1.0 is a placeholder.
-    return MaxPoint(arch, _flops_triple(arch, param_count(arch, emb), 1.0))
-
-
-def maxpoint_from_measurements(
-    arch: ArchParams, metric_map: Mapping[ArchParams, MetricTriple]
-) -> MaxPoint:
-    """Resolve the maximum point from an ingested metric map."""
-    triple = metric_map.get(arch)
-    if triple is None:
-        raise DataError(f"maximum-point architecture {arch} has no measurement record")
-    return MaxPoint(arch, triple)

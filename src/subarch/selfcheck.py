@@ -85,7 +85,7 @@ def check_head_invariance() -> CheckResult:
 
 
 def _random_ranking_instance(rng: np.random.Generator):
-    """One synthetic run: a tiny space, random metrics, and a dominating maximum point."""
+    """One synthetic run: a tiny space, and random metrics beside a dominating maximum point's."""
     space = SearchSpace(
         depths=tuple(sorted(rng.choice(np.arange(2, 13, 2), size=2, replace=False).tolist())),
         heads=(1, 2),
@@ -93,7 +93,7 @@ def _random_ranking_instance(rng: np.random.Generator):
         intermediates=tuple(sorted(rng.choice(np.arange(1, 9), size=2, replace=False).tolist())),
     )
     archs = enumerate_space(space)
-    metric_map = {}
+    metric_map = {REFERENCE_MAXPOINT: metrics.MetricTriple(200.0, 200.0, 1.0)}
     for arch in archs:
         metric_map[arch] = metrics.MetricTriple(
             param_size=float(rng.uniform(1.0, 100.0)),
@@ -102,7 +102,7 @@ def _random_ranking_instance(rng: np.random.Generator):
         )
     config = engine.SearchConfig(
         space=space,
-        maxpoint=metrics.MaxPoint(REFERENCE_MAXPOINT, metrics.MetricTriple(200.0, 200.0, 1.0)),
+        maxpoint=REFERENCE_MAXPOINT,
         emb=REFERENCE_EMBEDDING,
         epsilon=1,
     )
@@ -129,9 +129,10 @@ def check_ranking_vs_sort_oracle(sets: int = 200, seed: int = 20240) -> CheckRes
     for iteration in range(sets):
         config, metric_map = _random_ranking_instance(rng)
         result = engine.rank_candidates(config, metric_map)
-        t = config.maxpoint.metrics
+        t = metric_map[config.maxpoint]
         rows = []
-        for arch, triple in metric_map.items():
+        for arch in config.candidates:
+            triple = metric_map[arch]
             if triple.param_size > t.param_size or triple.latency > t.latency:
                 continue
             w = (t.param_size - triple.param_size) * (t.latency - triple.latency) / (
@@ -150,8 +151,8 @@ def check_ranking_vs_sort_oracle(sets: int = 200, seed: int = 20240) -> CheckRes
 def check_w_properties(seed: int = 71) -> CheckResult:
     name = "w-coefficient properties"
     rng = np.random.default_rng(seed)
-    maxpoint = metrics.analytic_maxpoint(REFERENCE_MAXPOINT, REFERENCE_EMBEDDING)
-    t = maxpoint.metrics
+    t = metrics.analytic_metrics(REFERENCE_MAXPOINT, REFERENCE_EMBEDDING, lambda _size: 1.0)
+    maxpoint = metrics.MaxPoint(REFERENCE_MAXPOINT, t)
     if engine.w_coefficient(t, maxpoint) != 0.0:
         return CheckResult(name, False, "w(T, T) != 0")
     for trial in range(200):

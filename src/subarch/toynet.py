@@ -274,7 +274,7 @@ class ToyNet:
         vocab = config.emb.vocab
         token_ids = None
         if tokens is not None:  # a fresh array the caller cannot change
-            token_ids = np.unique(check_tokens(tokens, config.emb)).astype(np.int64)
+            token_ids = np.unique(check_tokens(tokens, config.emb))
             token_ids.flags.writeable = False
         weights: dict[str, np.ndarray] = {}
 
@@ -345,9 +345,9 @@ def count_instantiated_params(net: ToyNet) -> int:
 
 
 def check_tokens(tokens, emb: EmbeddingConfig) -> np.ndarray:
-    """tokens as an array, once it is a (batch, sequence) matrix of integer
-    ids in [0, vocab) no longer than the position table; else a DataError
-    naming the first fault."""
+    """tokens as an int64 array, once it is a (batch, sequence) matrix of
+    integer ids in [0, vocab) and in int64's range, no longer than the position
+    table; else a DataError naming the first fault."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] == 0:
         raise DataError(
@@ -360,14 +360,16 @@ def check_tokens(tokens, emb: EmbeddingConfig) -> np.ndarray:
         raise DataError(
             f"sequence length {tokens.shape[1]} exceeds the position table size {emb.typepos}"
         )
-    out_of_range = (tokens < 0) | (tokens >= emb.vocab)
-    if out_of_range.any():
-        row, col = np.argwhere(out_of_range)[0]
-        raise DataError(
-            f"token id {tokens[row, col]} out of range [0, {emb.vocab})"
-            f" at batch {row}, position {col}"
-        )
-    return tokens
+    # An unsigned matrix can hold an id in range that int64 cannot.
+    int64_max = np.iinfo(np.int64).max
+    for bad, fault in (
+        ((tokens < 0) | (tokens >= emb.vocab), f"out of range [0, {emb.vocab})"),
+        (tokens > int64_max, f"beyond int64 (more than {int64_max})"),
+    ):
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise DataError(f"token id {tokens[row, col]} {fault} at batch {row}, position {col}")
+    return tokens.astype(np.int64, copy=False)
 
 
 def _held_rows(token_ids: np.ndarray, tokens: np.ndarray) -> np.ndarray:

@@ -38,9 +38,7 @@ from subarch.metrics import (
     ConstantErrorModel,
     MaxPoint,
     MetricTriple,
-    analytic_maxpoint,
     ingest_measurements,
-    maxpoint_from_measurements,
 )
 from subarch.space import ArchParams, EmbeddingConfig, SearchSpace, enumerate_space
 from subarch.toynet import (
@@ -183,10 +181,10 @@ def test_criterion_07_w_coefficient_property_suite():
         archs = enumerate_space(space)
         assert len(archs) == 16
         config = SearchConfig(
-            space=space, maxpoint=maxpoint, emb=ROBERTA_EMB
+            space=space, maxpoint=ROBERTA_LARGE, emb=ROBERTA_EMB
         )
         for set_index in range(1000):
-            table = {
+            table = {ROBERTA_LARGE: t} | {
                 arch: MetricTriple(
                     float(rng.uniform(1, 120)),
                     float(rng.uniform(1, 120)),
@@ -196,7 +194,8 @@ def test_criterion_07_w_coefficient_property_suite():
             }
             result = rank_candidates(config, table)
             rows = []
-            for arch, triple in table.items():
+            for arch in archs:
+                triple = table[arch]
                 if triple.param_size > 100.0 or triple.latency > 100.0:
                     continue
                 w = (100.0 - triple.param_size) * (100.0 - triple.latency) / (
@@ -223,7 +222,7 @@ def test_criterion_08_stated_substitutions():
     with criterion(8, description):
         config = SearchConfig(
             space=grid_space(),
-            maxpoint=analytic_maxpoint(ROBERTA_LARGE, ROBERTA_EMB),
+            maxpoint=ROBERTA_LARGE,
             emb=ROBERTA_EMB,
             epsilon=1,
             error_model=ConstantErrorModel(1.0),
@@ -249,7 +248,7 @@ def test_criterion_08_stated_substitutions():
         table = ingest_measurements(lines, ROBERTA_EMB)
         ingested_config = SearchConfig(
             space=SearchSpace((4,), (8,), (1024,), (512, 768)),
-            maxpoint=maxpoint_from_measurements(ROBERTA_LARGE, table),
+            maxpoint=ROBERTA_LARGE,
             emb=ROBERTA_EMB,
         )
         ingested_report = run_extraction(ingested_config, table)

@@ -16,7 +16,7 @@ from conftest import BORT, GRID_AXES, ROBERTA_EMB, write_config
 from subarch import costs, toynet
 from subarch.cli import main
 from subarch.config import KNOWN_KEYS
-from subarch.space import ArchParams
+from subarch.space import ArchParams, EmbeddingConfig
 
 GRID = dict(GRID_AXES, epsilon=1)
 
@@ -232,6 +232,33 @@ class TestRank:
         assert len(doc["ranking"]) == 4
         assert all(row["w_coefficient"] > 0 for row in doc["ranking"])
 
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ([], 0),
+            (["error.mode=constant", "error.value=1.0"], 0),  # the default, set explicitly
+            (["error.mode=bogus", "error.value=-3"], 2),
+            (["error.value=0.5"], 2),
+        ],
+        ids=["unset", "default", "bogus", "other_value"],
+    )
+    def test_ingested_mode_takes_no_error_setting(self, tmp_path, capsys, overrides, code):
+        cfg = write_config(
+            tmp_path / "c.json",
+            depths=[4], heads=[8, 16], hiddens=[1024], intermediates=[512, 768], epsilon=1,
+        )
+        measurements = self._measurements(tmp_path, include_missing_candidate=True)
+        sets = [arg for pair in overrides for arg in ("--set", pair)]
+        argv = ["rank", "--config", cfg, "--measurements", measurements, *sets]
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (
+                "config error: config key 'error' is set, but ingested mode takes no error model:"
+                " measurements carry their own\n"
+            )
+
     def test_ingested_missing_candidate_exits_3(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
@@ -364,16 +391,22 @@ class TestRank:
             assert out == ""
 
     @pytest.mark.parametrize(
-        "override, arch",
+        "overrides, arch",
         [
-            ("vocab=1" + "0" * 400, "<2,4,512,256>"),
-            ("hiddens=[1" + "0" * 300 + "]", "<2,4,1" + "0" * 300 + ",256>"),
+            (["vocab=1" + "0" * 400], "<2,4,512,256>"),
+            (["hiddens=[1" + "0" * 300 + "]"], "<2,4,1" + "0" * 300 + ",256>"),
+            # The synthetic error divides by the count, and the maximum point's comes first.
+            (
+                ["vocab=1" + "0" * 400, "error.mode=synthetic", "error.c0=0.1", "error.c1=1e7"],
+                "<24,16,1024,4096>",
+            ),
         ],
-        ids=["vocab_10e400", "hidden_10e300"],
+        ids=["vocab_10e400", "hidden_10e300", "synthetic_vocab_10e400"],
     )
-    def test_count_too_large_for_a_float_exits_2(self, tmp_path, capsys, override, arch):
+    def test_count_too_large_for_a_float_exits_2(self, tmp_path, capsys, overrides, arch):
         cfg = write_config(tmp_path / "c.json", **GRID)
-        code, out, err = run_cli(capsys, "rank", "--config", cfg, "--set", override)
+        sets = [arg for pair in overrides for arg in ("--set", pair)]
+        code, out, err = run_cli(capsys, "rank", "--config", cfg, *sets)
         assert code == 2
         assert f"architecture {arch}" in err
         assert "too large for a float" in err
@@ -465,6 +498,20 @@ class TestToyForward:
         assert code == 3
         assert "multiple" in err
 
+    def test_fit_counts_only_the_token_rows_read(self, tmp_path, capsys):
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("0\n1\n")
+        code, out, err = run_cli(
+            capsys, "toy-forward", str(tokens), "--arch", "2,1,1,1",
+            "--set", "vocab=99999999999999", "--set", "seq=2",
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["output_shape"] == [1, 2, 1]
+        emb = EmbeddingConfig(99999999999999, 514, 2, 1024)
+        count = costs.param_count(ArchParams(2, 1, 1, 1), emb)
+        assert doc["instantiated_params"] == count == 100_000_000_000_552
+
     @pytest.mark.parametrize("stage", ["build", "forward"])
     def test_net_that_does_not_fit_exits_2(self, tmp_path, capsys, monkeypatch, stage):
         def out_of_memory(*args, **kwargs):
@@ -482,9 +529,9 @@ class TestToyForward:
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
-        # 1,696 parameters of 8 bytes each
+        # 1,696 parameters less the 16 unread token rows of 8, at 8 bytes each
         assert "toy network <2,2,8,16> does not fit in memory" in err
-        assert "13,568 bytes" in err
+        assert "12,544 bytes" in err
 
 
 class TestVerify:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BORT, ROBERTA_EMB, ROBERTA_LARGE, grid_space
+from conftest import BORT, ROBERTA_EMB, ROBERTA_LARGE, grid_space, write_config
 from subarch import engine
+from subarch.cli import main
 from subarch.engine import (
     EXCEEDS_LATENCY,
     EXCEEDS_PARAMS,
@@ -26,7 +27,7 @@ from subarch.metrics import (
     ConstantErrorModel,
     MaxPoint,
     MetricTriple,
-    analytic_maxpoint,
+    ingest_measurements,
 )
 from subarch.space import ArchParams, SearchSpace, enumerate_space
 
@@ -77,36 +78,39 @@ class TestExceedFlags:
         assert exceed_flags(MetricTriple(100, 10, 1.0), make_maxpoint()) == frozenset()
 
 
-def tiny_config(maxpoint, space=None, **kwargs):
+def tiny_config(space=None, **kwargs):
     return SearchConfig(
         space=space or SearchSpace((2,), (2, 4, 8), (8,), (4,)),
-        maxpoint=maxpoint,
+        maxpoint=ROBERTA_LARGE,
         emb=ROBERTA_EMB,
         epsilon=1,
         **kwargs,
     )
 
 
+def with_maxpoint(table):
+    """table with make_maxpoint's triple beside the candidates', where rank_candidates reads it."""
+    return {ROBERTA_LARGE: make_maxpoint().metrics, **table}
+
+
 class TestRankCandidates:
     def test_tie_break_prefers_fewer_heads(self):
-        maxpoint = make_maxpoint()
         table = {
             ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 0.5),  # w = 0.5
             ArchParams(2, 4, 8, 4): MetricTriple(40, 5, 1.0),  # w = 0.3
             ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 1.0),  # w = 0.3
         }
-        result = rank_candidates(tiny_config(maxpoint), table)
+        result = rank_candidates(tiny_config(), with_maxpoint(table))
         ranked = [(row.rank, row.arch.heads, row.w_coefficient) for row in result.ranked]
         assert ranked == [(1, 2, pytest.approx(0.5)), (2, 4, pytest.approx(0.3)), (3, 8, pytest.approx(0.3))]
 
     def test_exceeding_candidates_go_to_appendix(self):
-        maxpoint = make_maxpoint()
         table = {
             ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0),
             ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0),
             ArchParams(2, 8, 8, 4): MetricTriple(50, 15, 1.0),
         }
-        result = rank_candidates(tiny_config(maxpoint), table)
+        result = rank_candidates(tiny_config(), with_maxpoint(table))
         assert [row.arch.heads for row in result.ranked] == [2]
         assert {row.arch.heads: set(row.flags) for row in result.excluded} == {
             4: {EXCEEDS_PARAMS},
@@ -114,34 +118,30 @@ class TestRankCandidates:
         }
 
     def test_all_excluded_is_an_error(self):
-        maxpoint = make_maxpoint()
         table = {
             ArchParams(2, 2, 8, 4): MetricTriple(150, 5, 1.0),
             ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0),
             ArchParams(2, 8, 8, 4): MetricTriple(150, 5, 1.0),
         }
         with pytest.raises(DataError, match="no candidates remain"):
-            rank_candidates(tiny_config(maxpoint), table)
+            rank_candidates(tiny_config(), with_maxpoint(table))
 
     def test_missing_metric_entry_names_arch(self):
-        maxpoint = make_maxpoint()
         table = {ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0)}
         with pytest.raises(DataError, match=r"<2,4,8,4>"):
-            rank_candidates(tiny_config(maxpoint), table)
+            rank_candidates(tiny_config(), with_maxpoint(table))
 
     def test_top_k_slices_after_ranking(self):
-        maxpoint = make_maxpoint()
         table = {
             ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 0.5),
             ArchParams(2, 4, 8, 4): MetricTriple(40, 5, 1.0),
             ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 1.0),
         }
-        result = rank_candidates(tiny_config(maxpoint, top_k=2), table)
+        result = rank_candidates(tiny_config(top_k=2), with_maxpoint(table))
         assert [row.rank for row in result.ranked] == [1, 2]
         assert result.total_ranked == 3
 
     def test_ranked_is_permutation_of_non_excluded(self):
-        maxpoint = make_maxpoint()
         space = SearchSpace((2, 4), (2, 4), (8,), (4, 8))
         archs = [
             ArchParams(d, a, 8, i) for d in (2, 4) for a in (2, 4) for i in (4, 8)
@@ -150,9 +150,61 @@ class TestRankCandidates:
             arch: MetricTriple(10.0 + k, 1.0 + k / 10.0, 1.0 + (k % 3))
             for k, arch in enumerate(archs)
         }
-        result = rank_candidates(tiny_config(maxpoint, space=space), table)
+        result = rank_candidates(tiny_config(space=space), with_maxpoint(table))
         assert sorted(row.arch for row in result.ranked) == sorted(archs)
         assert [row.rank for row in result.ranked] == list(range(1, len(archs) + 1))
+
+
+# The README's Library records, and the space of its ingested example.
+README_RECORDS = """\
+{"arch": [24, 16, 1024, 4096], "latency_s": 6.17, "error": 1.0, "trials": 6250}
+{"arch": [4, 8, 1024, 512], "latency_s": 0.318, "error": 0.5, "trials": 6250}
+{"arch": [4, 8, 1024, 768], "latency_s": 0.308, "error": 1.0, "trials": 6250}
+"""
+README_SPACE = SearchSpace((4,), (8,), (1024,), (512, 768))
+
+
+class TestMaxPoint:
+    """The maximum point's metrics come from the run's own metric map."""
+
+    def test_analytic(self):
+        config = tiny_config(error_model=ConstantErrorModel(1.0))
+        maxpoint = run_extraction(config).header["maxpoint"]
+        assert maxpoint["param_size"] == 355_361_792
+
+    def test_from_measurements(self):
+        table = ingest_measurements(
+            '{"arch": [4, 8, 1024, 768], "latency_s": 0.308, "error": 0.9, "trials": 6250}',
+            ROBERTA_EMB,
+        )
+        config = SearchConfig(SearchSpace((4,), (8,), (1024,), (768,)), BORT, ROBERTA_EMB)
+        maxpoint = run_extraction(config, table).header["maxpoint"]
+        assert maxpoint["arch"] == list(BORT.as_tuple())
+        assert maxpoint["latency"] == 0.308
+
+    def test_missing_measurement(self):
+        with pytest.raises(DataError, match="no measurement record"):
+            run_extraction(tiny_config(), {})
+
+    def test_missing_maxpoint_is_found_before_the_candidates(self):
+        # epsilon 0 fails only when the candidates are enumerated.
+        config = SearchConfig(space=README_SPACE, maxpoint=ROBERTA_LARGE, emb=ROBERTA_EMB, epsilon=0)
+        with pytest.raises(DataError, match=r"<24,16,1024,4096> has no measurement record"):
+            rank_candidates(config, {})
+
+    def test_readme_records_rank_as_the_cli_does(self, tmp_path, capsys):
+        config = tiny_config(space=README_SPACE)
+        report = run_extraction(config, ingest_measurements(README_RECORDS, ROBERTA_EMB))
+        assert report.header["maxpoint"]["latency"] == 6.17
+        assert [row.w_coefficient for row in report.result.ranked] == [
+            pytest.approx(1.5016, abs=1e-4), pytest.approx(0.7465, abs=1e-4)
+        ]
+        (tmp_path / "m.ndjson").write_text(README_RECORDS)
+        axes = {"depths": [4], "heads": [8], "hiddens": [1024], "intermediates": [512, 768]}
+        cfg = write_config(tmp_path / "c.json", **axes, epsilon=1)
+        argv = ["rank", "--config", cfg, "--measurements", str(tmp_path / "m.ndjson")]
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == render_json(report) + "\n"
 
 
 def _selection_sort(rows):
@@ -172,7 +224,7 @@ class TestRunExtraction:
     def grid_config(self, epsilon=1, **kwargs):
         return SearchConfig(
             space=grid_space(),
-            maxpoint=analytic_maxpoint(ROBERTA_LARGE, ROBERTA_EMB),
+            maxpoint=ROBERTA_LARGE,
             emb=ROBERTA_EMB,
             epsilon=epsilon,
             error_model=ConstantErrorModel(1.0),
@@ -224,30 +276,29 @@ class TestRunExtraction:
             ArchParams(2, 4, 8, 4): MetricTriple(40, 5, 0.5),
             ArchParams(2, 8, 8, 4): MetricTriple(60, 6, 2.0),
         }
-        report = run_extraction(tiny_config(make_maxpoint()), table)
+        report = run_extraction(tiny_config(), with_maxpoint(table))
         assert report.header["metric_mode"] == INGESTED
         assert report.header["error_provider"] == "ingested measurement records"
         assert {row.arch: row.metrics for row in report.result.ranked} == table
 
     def test_analytic_requires_error_model(self):
-        config = SearchConfig(space=grid_space(), maxpoint=make_maxpoint(), emb=ROBERTA_EMB)
+        config = SearchConfig(space=grid_space(), maxpoint=ROBERTA_LARGE, emb=ROBERTA_EMB)
         with pytest.raises(ConfigError, match="analytic mode requires an error model"):
             run_extraction(config)
 
     def test_ingested_rejects_an_error_model(self):
-        config = tiny_config(make_maxpoint(), error_model=ConstantErrorModel(1.0))
+        config = tiny_config(error_model=ConstantErrorModel(1.0))
         table = {arch: MetricTriple(50, 5, 1.0) for arch in config.candidates}
         with pytest.raises(ConfigError, match="ingested mode takes no error model"):
-            run_extraction(config, table)
+            run_extraction(config, with_maxpoint(table))
 
     def test_render_text_has_columns_and_appendix(self):
-        maxpoint = make_maxpoint()
         table = {
             ArchParams(2, 2, 8, 4): MetricTriple(50, 5, 1.0),
             ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0),
             ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 1.0),
         }
-        report = run_extraction(tiny_config(maxpoint), table)
+        report = run_extraction(tiny_config(), with_maxpoint(table))
         text = render_text(report)
         assert "rank" in text and "w_coefficient" in text and "flags" in text
         assert "excluded by maximum-point rule: 1" in text
@@ -259,7 +310,7 @@ class TestRunExtraction:
             ArchParams(2, 4, 8, 4): MetricTriple(150, 5, 1.0),
             ArchParams(2, 8, 8, 4): MetricTriple(40, 5, 0.5),
         }
-        report = run_extraction(tiny_config(make_maxpoint()), table)
+        report = run_extraction(tiny_config(), with_maxpoint(table))
         assert render_text(report) == "\n".join([
             "# optimal-subarchitecture ranking",
             "# metric_mode: ingested",
@@ -330,9 +381,9 @@ class TestRunExtraction:
             {"rank": 1, **row([2, 8, 8, 4], 40, 5.5, 0.5, 0.54)},
             {"rank": 2, **row([2, 2, 8, 4], 50, 5, 1.0, 0.25)},
         ]
-        full = run_extraction(tiny_config(make_maxpoint()), table)
+        full = run_extraction(tiny_config(), with_maxpoint(table))
         assert render_json(full) == expected(None, ranking)
-        top_one = run_extraction(tiny_config(make_maxpoint(), top_k=1), table)
+        top_one = run_extraction(tiny_config(top_k=1), with_maxpoint(table))
         assert render_json(top_one) == expected(1, ranking[:1])
 
     def test_enumerates_once_per_run(self, monkeypatch):

@@ -13,10 +13,8 @@ from subarch.metrics import (
     MeasurementRecord,
     MetricTriple,
     SyntheticErrorModel,
-    analytic_maxpoint,
     analytic_metrics,
     ingest_measurements,
-    maxpoint_from_measurements,
     parse_measurements,
     serialize_measurements,
 )
@@ -182,20 +180,6 @@ class TestIngest:
 
 
 class TestMaxPoint:
-    def test_analytic(self):
-        maxpoint = analytic_maxpoint(ROBERTA_LARGE, ROBERTA_EMB)
-        assert maxpoint.metrics.param_size == 355_361_792
-
-    def test_from_measurements(self):
-        table = ingest_measurements(RECORD_LINE, ROBERTA_EMB)
-        maxpoint = maxpoint_from_measurements(BORT, table)
-        assert maxpoint.arch == BORT
-        assert maxpoint.metrics.latency == 0.308
-
-    def test_missing_measurement(self):
-        with pytest.raises(DataError, match="no measurement record"):
-            maxpoint_from_measurements(ROBERTA_LARGE, {})
-
     def test_zero_param_size_rejected(self):
         with pytest.raises(ValueError):
             MaxPoint(BORT, MetricTriple(0.0, 1.0, 1.0))

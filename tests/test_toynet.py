@@ -548,6 +548,19 @@ class TestDrawnTokenRows:
             forward(ToyNet.build(SMALL), np.array(tokens))
         assert str(from_build.value) == str(from_forward.value)
 
+    def test_build_rejects_an_unsigned_id_beyond_int64(self):
+        cfg = ToyNetConfig(arch=SMALL.arch, emb=EmbeddingConfig(10**20, 16, 2, 1))
+        tokens = np.array([[0, 2**62], [7, 2**63 + 5]], dtype=np.uint64)
+        fault = r"token id 9223372036854775813 beyond int64 .* at batch 1, position 1$"
+        with pytest.raises(DataError, match=fault) as from_build:
+            ToyNet.build(cfg, tokens=tokens)
+        with pytest.raises(DataError) as from_forward:
+            forward(ToyNet.build(cfg, tokens=[[0]]), tokens)
+        assert str(from_build.value) == str(from_forward.value)
+        held = ToyNet.build(cfg, tokens=tokens[:1])  # ids below 2**63 are held as themselves
+        assert held.token_ids.tolist() == [0, 2**62]
+        assert forward(held, tokens[:1]).shape == (1, 2, SMALL.arch.hidden)
+
     def test_forward_on_an_id_not_held_names_it(self):
         net = ToyNet.build(SMALL, tokens=[[31, 0, 5, 0]])
         tokens = np.array([[0, 5, 31, 5, 0, 0, 0, 0], [5, 5, 0, 31, 6, 0, 0, 0]])
