@@ -48,8 +48,6 @@ from .space import (
     EmbeddingConfig,
     SearchSpace,
     enumerate_space,
-    is_valid,
-    require_valid,
     stride_subsample,
     validate,
 )

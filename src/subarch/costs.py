@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .space import ArchParams, EmbeddingConfig, require_valid
+from .space import ArchParams, EmbeddingConfig
 
 # The type-lookup table is carried with three rows: together with the
 # embedding norm pair and the pooler bias row this makes the enumerated
@@ -64,13 +64,11 @@ def _flop_groups(arch: ArchParams) -> tuple[int, int, int]:
 
 def param_count(arch: ArchParams, emb: EmbeddingConfig) -> int:
     """Total trainable parameters from the closed form."""
-    require_valid(arch)
     return sum(_param_groups(arch, emb))
 
 
 def flop_count(arch: ArchParams) -> int:
     """Total forward-pass FLOPs per position from the closed form."""
-    require_valid(arch)
     return sum(_flop_groups(arch))
 
 
@@ -80,7 +78,6 @@ def embedding_params(arch: ArchParams, emb: EmbeddingConfig) -> int:
     This is the lookup-table figure; the embedding component reported by
     cost_breakdown groups 3*H of bias rows on top of it, per the closed form.
     """
-    require_valid(arch)
     return (emb.vocab + emb.typepos + 3) * arch.hidden
 
 
@@ -105,7 +102,6 @@ def cost_breakdown(arch: ArchParams, emb: EmbeddingConfig) -> CostBreakdown:
     (V + S + 6)*H, the pooler group is H^2, and the encoder group is the
     depth-repeated term. The embedding FLOP group is the 3*H lookup-sum cost.
     """
-    require_valid(arch)
     params = _param_groups(arch, emb)
     flops = _flop_groups(arch)
     # CostBreakdown's fields are the three groups then the total, params before FLOPs.
@@ -126,7 +122,6 @@ def shape_list(arch: ArchParams, emb: EmbeddingConfig) -> list[tuple[str, tuple[
       Per layer this is 4*H^2 + 2*H*I + 9*H + I.
     * pooler: one (H, H) linear with bias.
     """
-    require_valid(arch)
     h, i = arch.hidden, arch.intermediate
     shapes: list[tuple[str, tuple[int, ...]]] = [
         ("embedding.token_table", (emb.vocab, h)),
@@ -156,7 +151,7 @@ def shape_list(arch: ArchParams, emb: EmbeddingConfig) -> list[tuple[str, tuple[
 def shape_oracle_params(arch: ArchParams, emb: EmbeddingConfig) -> int:
     """Parameter total obtained by enumerating tensor shapes, never the polynomial.
 
-    Must equal param_count on every valid architecture; this is the
+    Must equal param_count on every architecture; this is the
     anti-regression oracle for the closed form.
     """
     return sum(math.prod(shape) for _name, shape in shape_list(arch, emb))
@@ -170,7 +165,6 @@ def flop_oracle(arch: ArchParams) -> int:
     7*I^2 widening-plus-activation allowance. The pooler linear and the 3*H
     lookup-sum cost are added once.
     """
-    require_valid(arch)
     h, i = arch.hidden, arch.intermediate
     full_width = LayerShape(h, h)
     return_projection = LayerShape(i, h)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 from .costs import flop_count, param_count
 from .errors import ConfigError, DataError
-from .space import ArchParams, EmbeddingConfig, arch_from_ints, positive_int, require_valid
+from .space import ArchParams, EmbeddingConfig, arch_from_ints, positive_int
 
 _RECORD_KEYS = ("arch", "latency_s", "error", "trials")
 
@@ -82,7 +82,6 @@ class MeasurementRecord:
     trials: int
 
     def __post_init__(self) -> None:
-        require_valid(self.arch)
         finite_positive(self.latency, "latency")
         finite_positive(self.error, "error")
         positive_int(self.trials, "trials")
@@ -98,10 +97,9 @@ def _record_from_obj(obj: object, lineno: int) -> MeasurementRecord:
             f"measurement line {lineno}: record keys must be exactly {list(_RECORD_KEYS)}"
             f" (missing {missing}, unknown {unknown})"
         )
-    arch = arch_from_ints(obj["arch"], f"measurement line {lineno}: 'arch'", DataError)
     try:
         return MeasurementRecord(
-            arch=arch,
+            arch=arch_from_ints(obj["arch"], f"measurement line {lineno}: 'arch'", DataError),
             latency=finite_number(obj["latency_s"], "'latency_s'"),
             error=finite_number(obj["error"], "'error'"),
             trials=obj["trials"],
@@ -162,10 +160,8 @@ def analytic_metrics(
 ) -> MetricTriple:
     """Closed-form parameter and FLOP surrogates, plus error_of(parameter count).
 
-    param_count runs first: it raises ConfigError for an invalid architecture
-    before the error is asked for. An exact count that a float cannot hold,
-    in the error or in the FLOP count's finiteness check, is a ConfigError
-    naming the architecture.
+    An exact count that a float cannot hold, in the error or in the FLOP
+    count's finiteness check, is a ConfigError naming the architecture.
     """
     param_size = param_count(arch, emb)
     try:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import costs, engine, metrics, toynet
 from .config import REFERENCE_EMBEDDING, REFERENCE_MAXPOINT, REFERENCE_SPACE
-from .space import ArchParams, EmbeddingConfig, SearchSpace, enumerate_space
+from .space import ArchParams, EmbeddingConfig, SearchSpace, enumerate_space, validate
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,11 @@ def check_flop_formula_vs_layer_oracle() -> CheckResult:
 def check_head_invariance() -> CheckResult:
     name = "head-count invariance of both counts"
     for arch in enumerate_space(REFERENCE_SPACE):
+        d, _, h, i = arch.as_tuple()
         for alt_heads in (4, 8, 16):
-            if alt_heads == arch.heads or arch.hidden % alt_heads != 0:
+            if alt_heads == arch.heads or validate(d, alt_heads, h, i):
                 continue
-            alt = ArchParams(arch.depth, alt_heads, arch.hidden, arch.intermediate)
+            alt = ArchParams(d, alt_heads, h, i)
             if costs.param_count(arch, REFERENCE_EMBEDDING) != costs.param_count(
                 alt, REFERENCE_EMBEDDING
             ):

@@ -18,16 +18,22 @@ def positive_int(value, what: str) -> int:
 
 @dataclass(frozen=True, order=True, slots=True)
 class ArchParams:
-    """One member of the encoder family: depth, attention heads, hidden and intermediate size.
+    """One valid member of the encoder family: depth, attention heads, hidden and intermediate size.
 
-    Ordering (and therefore enumeration and tie-breaking everywhere in the
-    toolkit) is lexicographic on (depth, heads, hidden, intermediate).
+    Construction raises ConfigError naming every violated constraint. Ordering
+    (and therefore enumeration and tie-breaking everywhere in the toolkit) is
+    lexicographic on (depth, heads, hidden, intermediate).
     """
 
     depth: int
     heads: int
     hidden: int
     intermediate: int
+
+    def __post_init__(self) -> None:
+        violations = validate(self.depth, self.heads, self.hidden, self.intermediate)
+        if violations:
+            raise ConfigError(f"invalid architecture {self}: " + "; ".join(violations))
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.depth, self.heads, self.hidden, self.intermediate)
@@ -45,34 +51,18 @@ def arch_from_ints(value, what: str, exc: type[Exception]) -> ArchParams:
     return ArchParams(*value)
 
 
-def validate(arch: ArchParams) -> tuple[str, ...]:
-    """Check every architecture constraint; returns the violations, empty when valid.
-
-    Invalid input yields a verdict, never an exception.
-    """
+def validate(depth: int, heads: int, hidden: int, intermediate: int) -> tuple[str, ...]:
+    """Each rule that <depth,heads,hidden,intermediate> breaks, empty when valid; never raises."""
     violations = []
-    for name in ("depth", "heads", "hidden", "intermediate"):
-        value = getattr(arch, name)
+    values = {"depth": depth, "heads": heads, "hidden": hidden, "intermediate": intermediate}
+    for name, value in values.items():
         if value < 1:
             violations.append(f"{name} must be a positive integer (got {value})")
-    if arch.depth >= 1 and arch.depth % 2 != 0:
+    if depth >= 1 and depth % 2 != 0:
         violations.append("depth must be even")
-    if arch.heads >= 1 and arch.hidden >= 1 and arch.hidden % arch.heads != 0:
-        violations.append(
-            f"hidden ({arch.hidden}) is not divisible by heads ({arch.heads})"
-        )
+    if heads >= 1 and hidden >= 1 and hidden % heads != 0:
+        violations.append(f"hidden ({hidden}) is not divisible by heads ({heads})")
     return tuple(violations)
-
-
-def is_valid(arch: ArchParams) -> bool:
-    return not validate(arch)
-
-
-def require_valid(arch: ArchParams) -> None:
-    """Raise ConfigError listing every violated constraint."""
-    violations = validate(arch)
-    if violations:
-        raise ConfigError(f"invalid architecture {arch}: " + "; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -131,9 +121,8 @@ def enumerate_space(space: SearchSpace) -> list[ArchParams]:
     for depth, heads, hidden, intermediate in product(
         space.depths, space.heads, space.hiddens, space.intermediates
     ):
-        arch = ArchParams(depth, heads, hidden, intermediate)
-        if is_valid(arch):
-            out.append(arch)
+        if not validate(depth, heads, hidden, intermediate):
+            out.append(ArchParams(depth, heads, hidden, intermediate))
     return out
 
 

@@ -892,6 +892,50 @@ class TestDocumentedExits:
         cfg = write_config(tmp_path / "c.json", arch=[2, 2, 8, 16], vocab=32, typepos=16, seq=2)
         return run_cli(capsys, "toy-forward", str(tokens), "--config", cfg, *extra)
 
+    # Every way an architecture enters from outside; each meets the same check.
+    @pytest.mark.parametrize(
+        "argv, code, label",
+        [
+            pytest.param(("cost", "--arch", "3,16,1024,4096"), 2, "config error", id="cost"),
+            pytest.param(
+                ("toy-forward", "{tokens}", "--arch", "3,16,1024,4096"), 2, "config error",
+                id="toy-forward",
+            ),
+            pytest.param(
+                ("rank", "--config", DEMO_CONFIG, "--set", "maxpoint=[3,16,1024,4096]"),
+                2, "config error", id="analytic_maxpoint",
+            ),
+            pytest.param(
+                ("rank", "--config", DEMO_CONFIG, "--measurements", "{valid_records}",
+                 "--set", "maxpoint=[3,16,1024,4096]"),
+                2, "config error", id="ingested_maxpoint",
+            ),
+            pytest.param(
+                ("rank", "--config", DEMO_CONFIG, "--measurements", "{odd_depth_record}"),
+                3, "data error: measurement line 1", id="measurement_line",
+            ),
+        ],
+    )
+    def test_odd_depth_architecture_is_refused_at_every_entry(
+        self, tmp_path, capsys, argv, code, label
+    ):
+        files = {
+            "tokens": "1\n2\n",
+            "valid_records": '{"arch": [24, 16, 1024, 4096], "latency_s": 6.17, "error": 1.0,'
+            ' "trials": 1}\n',
+            "odd_depth_record": '{"arch": [3, 16, 1024, 4096], "latency_s": 6.17, "error": 1.0,'
+            ' "trials": 1}\n',
+        }
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(text)
+        argv = [arg.format(**paths) for arg in argv]
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert err == f"{label}: invalid architecture <3,16,1024,4096>: depth must be even\n"
+        assert out == ""
+
     def test_ingested_mode_without_measurements_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "rank", "--config", DEMO_CONFIG, "--set", "metric_mode=ingested"

@@ -457,7 +457,16 @@ def oracle_json(report: ExtractionReport) -> str:
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive_float = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-archs = st.builds(ArchParams, *[st.integers(1, 4096)] * 4)
+# Valid tuples only: an even depth, and a hidden size that is a multiple of the head count.
+archs = st.builds(
+    lambda half_depth, heads, per_head, intermediate: ArchParams(
+        2 * half_depth, heads, heads * per_head, intermediate
+    ),
+    st.integers(1, 2048),
+    st.integers(1, 64),
+    st.integers(1, 64),
+    st.integers(1, 4096),
+)
 triples = st.builds(
     MetricTriple,
     param_size=st.integers(0, 10**40) | st.floats(min_value=0.0, allow_infinity=False),

@@ -13,8 +13,6 @@ from subarch.space import (
     SearchSpace,
     arch_from_ints,
     enumerate_space,
-    is_valid,
-    require_valid,
     stride_subsample,
     validate,
 )
@@ -22,30 +20,40 @@ from subarch.space import (
 
 class TestValidate:
     def test_valid_architecture(self):
-        assert validate(BORT) == ()
-        assert is_valid(BORT)
+        assert validate(*BORT.as_tuple()) == ()
 
     def test_hidden_not_divisible_by_heads(self):
-        verdict = validate(ArchParams(4, 12, 1024, 768))
+        verdict = validate(4, 12, 1024, 768)
         assert len(verdict) == 1
         assert "not divisible" in verdict[0]
 
     def test_odd_depth(self):
-        verdict = validate(ArchParams(3, 8, 512, 256))
+        verdict = validate(3, 8, 512, 256)
         assert verdict == ("depth must be even",)
 
     def test_non_positive_fields(self):
-        verdict = validate(ArchParams(0, -1, 8, 0))
+        verdict = validate(0, -1, 8, 0)
         assert len(verdict) == 3
         assert all("positive" in v for v in verdict)
 
     def test_multiple_violations_all_reported(self):
-        verdict = validate(ArchParams(3, 12, 1024, 768))
+        verdict = validate(3, 12, 1024, 768)
         assert len(verdict) == 2
 
-    def test_require_valid_raises_with_constraint(self):
-        with pytest.raises(ConfigError, match="depth must be even"):
-            require_valid(ArchParams(3, 8, 512, 256))
+    def test_construction_raises_with_constraint(self):
+        with pytest.raises(ConfigError, match="invalid architecture <3,8,512,256>: depth must be even"):
+            ArchParams(3, 8, 512, 256)
+
+    def test_construction_lists_every_violation_that_validate_returns(self):
+        verdict = validate(0, -1, 8, 0)
+        assert verdict == (
+            "depth must be a positive integer (got 0)",
+            "heads must be a positive integer (got -1)",
+            "intermediate must be a positive integer (got 0)",
+        )
+        with pytest.raises(ConfigError) as info:
+            ArchParams(0, -1, 8, 0)
+        assert str(info.value) == "invalid architecture <0,-1,8,0>: " + "; ".join(verdict)
 
 
 class TestSearchSpace:
@@ -146,7 +154,7 @@ spaces = st.builds(SearchSpace, axis, axis, axis, axis)
 @given(spaces)
 def test_enumerate_properties(space):
     archs = enumerate_space(space)
-    assert all(is_valid(a) for a in archs)
+    assert all(validate(*a.as_tuple()) == () for a in archs)
     assert len(archs) <= space.size()
     assert archs == sorted(archs)
     assert archs == enumerate_space(space)
