@@ -305,7 +305,8 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
         seed=settings["seed"],
     )
     # A bad token fails before any weight is drawn. The net draws only the
-    # token-table rows read, so its weights are the count less the rows left out.
+    # token-table rows read, so its weights are the count less the rows left out;
+    # it is streamed, so forward holds one encoder layer of them at a time.
     tokens = check_tokens(_read_tokens(args.tokens, emb.seq), emb)
     rows_left_out = emb.vocab - np.unique(tokens).size
     weight_bytes = (param_count(arch, emb) - rows_left_out * arch.hidden) * 8
@@ -317,7 +318,7 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     if weight_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ConfigError(does_not_fit)
     try:
-        net = ToyNet.build(net_config, tokens=tokens)
+        net = ToyNet.build(net_config, tokens=tokens, streamed=True)
         out, stats = forward_with_stats(net, tokens)
     except (MemoryError, ValueError) as exc:  # ValueError: numpy refuses a size past its limits
         raise ConfigError(does_not_fit) from exc

@@ -11,6 +11,7 @@ determines the weights.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -241,7 +242,8 @@ class ToyNetConfig:
 
 
 class ToyNet:
-    """One instantiated network: a config, named weight arrays and the token ids held.
+    """One instantiated network: a config, named weight arrays, the token ids held
+    and, for a streamed net, the stream offset of each encoder layer it leaves out.
 
     Immutable after construction; forward passes never mutate it, so a net is
     safe to share across threads.
@@ -252,94 +254,150 @@ class ToyNet:
         self.weights = dict(weights)
         # The ids of the token-table rows held, ascending, as build sets them; None: every row.
         self.token_ids: np.ndarray | None = None
+        # Each encoder layer's stream offset when forward draws the layers; None: held in weights.
+        self.layer_offsets: tuple[int, ...] | None = None
 
     @classmethod
-    def build(cls, config: ToyNetConfig, tokens=None) -> "ToyNet":
+    def build(cls, config: ToyNetConfig, tokens=None, *, streamed: bool = False) -> "ToyNet":
         """Instantiate all weights from a seeded uniform(-1/2, 1/2) draw.
 
         Creation order is fixed, so a seed fully determines every array: the
         arrays are consecutive stretches of one Generator(PCG64(seed)) stream,
         bitwise equal to default_rng(seed).uniform(-0.5, 0.5, shape) drawn for
-        each in turn. Every array is allocated here, before any thread starts.
-        Fixed-size chunks are then filled on threads, each from its own
-        generator advanced to the chunk's offset in the stream; that is exact
-        because each double takes one 64-bit draw and u - 0.5 is exact.
+        each in turn. Every array is allocated here, before any thread starts,
+        and filled by _draw.
 
         tokens, a token matrix as forward takes it, makes the token table hold
         only the rows of its distinct ids, ascending, each drawn from its own
         stretch of the full table's span; every other array and its stream
         offset are unchanged. check_tokens raises its DataError for a bad matrix.
+
+        streamed=True holds no encoder layer: the net keeps each layer's stream
+        offset, and forward draws the layer's arrays, with the same bits, when
+        it reaches it.
         """
-        vocab = config.emb.vocab
+        hidden = config.arch.hidden
         token_ids = None
         if tokens is not None:  # a fresh array the caller cannot change
             token_ids = np.unique(check_tokens(tokens, config.emb))
             token_ids.flags.writeable = False
         weights: dict[str, np.ndarray] = {}
-
-        def add(name: str, *shape: int) -> None:
-            weights[name] = np.empty(shape)
-
-        hidden, inter = config.arch.hidden, config.arch.intermediate
-        add("embedding.token_table", vocab if token_ids is None else token_ids.size, hidden)
-        add("embedding.position_table", config.emb.typepos, hidden)
-        add("embedding.type_table", TYPE_TABLE_ROWS, hidden)
-        add("embedding.norm.scale", hidden)
-        add("embedding.norm.shift", hidden)
-        for layer in range(config.arch.depth):
-            base = f"encoder.{layer}"
-            for proj in ("query", "key", "value", "output"):
-                add(f"{base}.attention.{proj}.weight", hidden, hidden)
-                add(f"{base}.attention.{proj}.bias", hidden)
-            add(f"{base}.attention_norm.scale", hidden)
-            add(f"{base}.attention_norm.shift", hidden)
-            add(f"{base}.intermediate.weight", hidden, inter)
-            add(f"{base}.intermediate.bias", inter)
-            add(f"{base}.projection.weight", inter, hidden)
-            add(f"{base}.projection.bias", hidden)
-            add(f"{base}.output_norm.scale", hidden)
-            add(f"{base}.output_norm.shift", hidden)
-        add("pooler.weight", hidden, hidden)
-        add("pooler.bias", hidden)
-
         stretches = []  # (stream offset, flat view) of each stretch to fill
-        offset = 0
-        for name, array in weights.items():
-            if name == "embedding.token_table" and token_ids is not None:
-                # Row r is the stretch at r * hidden of the whole table's span.
-                rows = zip(token_ids.tolist(), array)
-                stretches += [(offset + r * hidden, row) for r, row in rows]
-                offset += vocab * hidden
-            else:
-                stretches.append((offset, array.reshape(-1)))
-                offset += array.size
-        chunks = [
-            (at + start, flat[start : start + _FILL_CHUNK])
-            for at, flat in stretches
-            for start in range(0, flat.size, _FILL_CHUNK)
-        ]
-
-        def fill(part):
-            chunk_offset, chunk = part
-            bits = np.random.PCG64(config.seed).advance(chunk_offset)
-            np.random.Generator(bits).random(out=chunk)
-            chunk -= 0.5
-
-        _run_parts(fill, chunks)
+        layer_offsets = []
+        for prefix, shapes, start in _layout(config):
+            if streamed and prefix.startswith("encoder."):
+                layer_offsets.append(start)
+                continue
+            for name, shape, offset in _walk(shapes, start):
+                name = f"{prefix}.{name}"
+                if name == "embedding.token_table" and token_ids is not None:
+                    # Row r is the stretch at r * hidden of the whole table's span.
+                    array = weights[name] = np.empty((token_ids.size, hidden))
+                    rows = zip(token_ids.tolist(), array)
+                    stretches += [(offset + r * hidden, row) for r, row in rows]
+                else:
+                    array = weights[name] = np.empty(shape)
+                    stretches.append((offset, array.reshape(-1)))
+        _draw(config.seed, stretches)
         net = cls(config, weights)
         net.token_ids = token_ids
+        if streamed:
+            net.layer_offsets = tuple(layer_offsets)
         return net
+
+
+def _layer_shapes(hidden: int, inter: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name within the layer, shape) of one encoder layer's arrays, in creation order."""
+    shapes = []
+    for proj in ("query", "key", "value", "output"):
+        shapes += [
+            (f"attention.{proj}.weight", (hidden, hidden)),
+            (f"attention.{proj}.bias", (hidden,)),
+        ]
+    return shapes + [
+        ("attention_norm.scale", (hidden,)),
+        ("attention_norm.shift", (hidden,)),
+        ("intermediate.weight", (hidden, inter)),
+        ("intermediate.bias", (inter,)),
+        ("projection.weight", (inter, hidden)),
+        ("projection.bias", (hidden,)),
+        ("output_norm.scale", (hidden,)),
+        ("output_norm.shift", (hidden,)),
+    ]
+
+
+def _size(shapes) -> int:
+    return sum(math.prod(shape) for _, shape in shapes)
+
+
+def _walk(shapes, start: int) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, stream offset) of arrays laid end to end in the stream from start."""
+    offsets = itertools.accumulate((math.prod(shape) for _, shape in shapes), initial=start)
+    return [(name, shape, offset) for (name, shape), offset in zip(shapes, offsets)]
+
+
+def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, ...]]], int]]:
+    """(name prefix, [(name, shape)], stream offset) of each group of weight arrays in
+    creation order: the embedding, each encoder layer, then the pooler.
+
+    A group's arrays lie end to end in the stream from its offset (see _walk),
+    with the token table at its full vocab x hidden shape. build walks every
+    group; forward's layer draw walks _layer_shapes from a layer's offset, and
+    count_instantiated_params sizes the layers it leaves to that draw.
+    """
+    hidden = config.arch.hidden
+    embedding = [
+        ("token_table", (config.emb.vocab, hidden)),
+        ("position_table", (config.emb.typepos, hidden)),
+        ("type_table", (TYPE_TABLE_ROWS, hidden)),
+        ("norm.scale", (hidden,)),
+        ("norm.shift", (hidden,)),
+    ]
+    layer = _layer_shapes(hidden, config.arch.intermediate)
+    groups = [("embedding", embedding)]
+    groups += [(f"encoder.{index}", layer) for index in range(config.arch.depth)]
+    groups.append(("pooler", [("weight", (hidden, hidden)), ("bias", (hidden,))]))
+    starts = itertools.accumulate((_size(shapes) for _, shapes in groups), initial=0)
+    return [(prefix, shapes, start) for (prefix, shapes), start in zip(groups, starts)]
+
+
+def _draw(seed: int, stretches) -> None:
+    """Fill each (stream offset, flat array) stretch with the uniform(-1/2, 1/2)
+    draws found at that offset of the Generator(PCG64(seed)) stream.
+
+    Fixed-size chunks are filled on threads, each from its own generator
+    advanced to the chunk's offset; that is exact because each double takes
+    one 64-bit draw and u - 0.5 is exact.
+    """
+    chunks = [
+        (at + start, flat[start : start + _FILL_CHUNK])
+        for at, flat in stretches
+        for start in range(0, flat.size, _FILL_CHUNK)
+    ]
+
+    def fill(part):
+        chunk_offset, chunk = part
+        bits = np.random.PCG64(seed).advance(chunk_offset)
+        np.random.Generator(bits).random(out=chunk)
+        chunk -= 0.5
+
+    _run_parts(fill, chunks)
 
 
 def count_instantiated_params(net: ToyNet) -> int:
     """Total elements across all weight arrays; matches the closed-form count.
 
     A net that holds only some token rows counts its table at the full
-    vocab x hidden shape, as the closed form does.
+    vocab x hidden shape, as the closed form does, and a streamed net counts
+    every encoder layer that forward draws.
     """
+    cfg = net.config
     total = sum(array.size for array in net.weights.values())
     if net.token_ids is not None:
-        total += (net.config.emb.vocab - net.token_ids.size) * net.config.arch.hidden
+        total += (cfg.emb.vocab - net.token_ids.size) * cfg.arch.hidden
+    if net.layer_offsets is not None:
+        layer = _layer_shapes(cfg.arch.hidden, cfg.arch.intermediate)
+        total += len(net.layer_offsets) * _size(layer)
     return int(total)
 
 
@@ -384,33 +442,50 @@ def _held_rows(token_ids: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     return np.searchsorted(token_ids, tokens)
 
 
-def _encoder_block(x, weights, base: str, heads: int, eps: float, stats):
-    # One working name, rebound at each step, so every activation is freed
-    # once the next step has read it; the in-place adds are the same np.add
-    # calls on the same operands as the expression form.
+def _encoder_block(x, weights, heads: int, eps: float, stats):
+    # weights: one layer's arrays, by their names within the layer. One working
+    # name, rebound at each step, so every activation is freed once the next
+    # step has read it; the in-place adds are the same np.add calls on the same
+    # operands as the expression form.
     h = attention(
         x,
-        (weights[f"{base}.attention.query.weight"], weights[f"{base}.attention.query.bias"]),
-        (weights[f"{base}.attention.key.weight"], weights[f"{base}.attention.key.bias"]),
-        (weights[f"{base}.attention.value.weight"], weights[f"{base}.attention.value.bias"]),
+        (weights["attention.query.weight"], weights["attention.query.bias"]),
+        (weights["attention.key.weight"], weights["attention.key.bias"]),
+        (weights["attention.value.weight"], weights["attention.value.bias"]),
         heads,
         stats,
     )
-    h = h @ weights[f"{base}.attention.output.weight"]
-    h += weights[f"{base}.attention.output.bias"]
+    h = h @ weights["attention.output.weight"]
+    h += weights["attention.output.bias"]
     h += x
-    mixed = layer_norm(
-        h, weights[f"{base}.attention_norm.scale"], weights[f"{base}.attention_norm.shift"], eps
-    )
-    h = mixed @ weights[f"{base}.intermediate.weight"]
-    h += weights[f"{base}.intermediate.bias"]
+    mixed = layer_norm(h, weights["attention_norm.scale"], weights["attention_norm.shift"], eps)
+    h = mixed @ weights["intermediate.weight"]
+    h += weights["intermediate.bias"]
     h = gelu(h, out=h)
-    h = h @ weights[f"{base}.projection.weight"]
-    h += weights[f"{base}.projection.bias"]
+    h = h @ weights["projection.weight"]
+    h += weights["projection.bias"]
     h += mixed
-    return layer_norm(
-        h, weights[f"{base}.output_norm.scale"], weights[f"{base}.output_norm.shift"], eps
-    )
+    return layer_norm(h, weights["output_norm.scale"], weights["output_norm.shift"], eps)
+
+
+def _layers(net: ToyNet):
+    """Each encoder layer's arrays, by their names within the layer, as forward reaches it.
+
+    A fully built net lends its own. A streamed net's layer is drawn at its
+    stream offset into one set of buffers that this generator allocates once
+    and refills for every layer, so one layer is held at a time and the net
+    itself is never written.
+    """
+    cfg = net.config
+    shapes = _layer_shapes(cfg.arch.hidden, cfg.arch.intermediate)
+    if net.layer_offsets is None:
+        for layer in range(cfg.arch.depth):
+            yield {name: net.weights[f"encoder.{layer}.{name}"] for name, _ in shapes}
+        return
+    buffers = {name: np.empty(shape) for name, shape in shapes}
+    for start in net.layer_offsets:
+        _draw(cfg.seed, [(at, buffers[name].reshape(-1)) for name, _, at in _walk(shapes, start)])
+        yield buffers
 
 
 def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarray:
@@ -425,9 +500,11 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
     tokens = check_tokens(tokens, cfg.emb)
     rows = tokens if net.token_ids is None else _held_rows(net.token_ids, tokens)
 
-    # One sequence at a time: every step works per sequence or per row, so
-    # the bits match the whole-batch pipeline and only the output grows with
-    # the batch. Position indices run 0..seq-1 and all type indices are 0.
+    # Layer-major: every sequence passes layer l before any passes layer l+1,
+    # each kept in its own output row between layers. Every step works per
+    # sequence or per row, so the bits match the whole-batch pipeline, only
+    # the output grows with the batch and only one layer need be held.
+    # Position indices run 0..seq-1 and all type indices are 0.
     batch, seq = tokens.shape
     out = np.empty((batch, seq, cfg.arch.hidden))
     for ids, row in zip(rows, out):
@@ -436,16 +513,17 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
             + weights["embedding.position_table"][:seq]
             + weights["embedding.type_table"][0]
         )
-        x = layer_norm(
+        row[...] = layer_norm(
             x, weights["embedding.norm.scale"], weights["embedding.norm.shift"], cfg.layernorm_eps
         )
-        for layer in range(cfg.arch.depth):
-            x = _encoder_block(
-                x, weights, f"encoder.{layer}", cfg.arch.heads, cfg.layernorm_eps, stats
-            )
-        np.matmul(x, weights["pooler.weight"], out=row)
-        row += weights["pooler.bias"]
-        np.tanh(row, out=row)
+    for layer in _layers(net):
+        for row in out:
+            row[...] = _encoder_block(row, layer, cfg.arch.heads, cfg.layernorm_eps, stats)
+    pooled = np.empty((seq, cfg.arch.hidden))
+    for row in out:
+        np.matmul(row, weights["pooler.weight"], out=pooled)
+        pooled += weights["pooler.bias"]
+        np.tanh(pooled, out=row)
     return out
 
 

@@ -533,6 +533,29 @@ class TestToyForward:
         assert "toy network <2,2,8,16> does not fit in memory" in err
         assert "12,544 bytes" in err
 
+    def test_a_layer_draw_that_runs_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # build's one draw runs; forward's first layer draw fails as if out of memory.
+        calls = []
+        draw = toynet._draw
+
+        def layer_out_of_memory(seed, stretches):
+            calls.append(seed)
+            if len(calls) > 1:
+                raise MemoryError("Unable to allocate 54.0 MiB")
+            draw(seed, stretches)
+
+        monkeypatch.setattr(toynet, "_draw", layer_out_of_memory)
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("\n".join(str(i) for i in range(16)) + "\n")
+        code, out, err = run_cli(
+            capsys, "toy-forward", str(tokens), "--config", self._config(tmp_path)
+        )
+        assert (code, out, len(calls)) == (2, "", 2)
+        assert err == (
+            "config error: toy network <2,2,8,16> does not fit in memory: its float64 weights"
+            " alone take 12,544 bytes (0.0 GiB)\n"
+        )
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import TINY_EMB
 from subarch import toynet
@@ -591,6 +593,86 @@ class TestDrawnTokenRows:
             tracemalloc.stop()
         assert net.weights["embedding.token_table"].shape == (16, 64)
         assert peak < (rest + 16 * 64) * 8 + 512 * 1024
+
+
+def weight_bytes(net: ToyNet) -> bytes:
+    """Every weight's bytes in creation order; a streamed net's layers as forward draws them."""
+    if net.layer_offsets is None:
+        return b"".join(array.tobytes() for array in net.weights.values())
+    held = {part: [a.tobytes() for k, a in net.weights.items() if k.startswith(part)]
+            for part in ("embedding.", "pooler.")}
+    layers = [array.tobytes() for layer in toynet._layers(net) for array in layer.values()]
+    return b"".join(held["embedding."] + layers + held["pooler."])
+
+
+@st.composite
+def streamed_cases(draw):
+    """A small config, its token matrix and whether the streamed net holds only the rows read."""
+    heads = draw(st.integers(1, 3))
+    seq = draw(st.integers(1, 6))
+    emb = EmbeddingConfig(draw(st.integers(1, 40)), seq + draw(st.integers(0, 3)), seq, 1)
+    depth, width = draw(st.sampled_from([2, 4])), draw(st.integers(1, 4))
+    arch = ArchParams(depth, heads, heads * width, draw(st.integers(1, 12)))
+    cfg = ToyNetConfig(arch=arch, emb=emb, seed=draw(st.sampled_from([0, 2**40 + 7])))
+    tokens = np.array(
+        draw(st.lists(st.lists(st.integers(0, emb.vocab - 1), min_size=seq, max_size=seq),
+                      min_size=1, max_size=3))
+    )
+    return cfg, tokens, draw(st.booleans())
+
+
+class TestStreamedLayers:
+    """build(streamed=True) holds no encoder layer; forward draws each, bitwise as built."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=streamed_cases(), chunk=st.integers(1, 64))
+    def test_streamed_forward_matches_the_full_build(self, case, chunk, eight_workers,
+                                                     monkeypatch):
+        # Chunks of at most 64 elements: layer arrays straddle chunk boundaries.
+        monkeypatch.setattr(toynet, "_FILL_CHUNK", chunk)
+        cfg, tokens, partial = case
+        full, full_stats = forward_with_stats(ToyNet.build(cfg), tokens)
+        net = ToyNet.build(cfg, tokens=tokens if partial else None, streamed=True)
+        assert not any(name.startswith("encoder.") for name in net.weights)
+        out, stats = forward_with_stats(net, tokens)
+        assert out.tobytes() == full.tobytes()
+        assert stats.softmax_row_dev.hex() == full_stats.softmax_row_dev.hex()
+        assert forward(net, tokens).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("tokens", [None, [[9, 2, 9]]], ids=["full_table", "partial_table"])
+    def test_count_is_the_closed_form(self, tokens):
+        cfg = ToyNetConfig(arch=ArchParams(4, 2, 8, 16), emb=SMALL.emb)
+        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        assert len(net.layer_offsets) == 4
+        assert count_instantiated_params(net) == param_count(cfg.arch, cfg.emb)
+
+    def test_forward_holds_one_layer_at_a_time(self):
+        # One layer of this net is 12,704 doubles (99 KiB); a deeper net adds none.
+        emb = EmbeddingConfig(50, 16, 16, 1)
+        tokens = np.random.default_rng(3).integers(0, 50, size=(2, 16))
+        peaks = {}
+        for depth in (2, 6):
+            net = ToyNet.build(
+                ToyNetConfig(arch=ArchParams(depth, 2, 32, 128), emb=emb), tokens=tokens,
+                streamed=True,
+            )
+            tracemalloc.start()
+            try:
+                forward(net, tokens)
+                peaks[depth] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] > 12_704 * 8
+        assert peaks[6] - peaks[2] <= 8192
+
+    def test_weight_digest_pinned(self):
+        # sha256 of every weight in creation order. The PCG64 stream and u - 0.5
+        # are exact, so this holds on every host, unlike the forward's digests.
+        cfg = ToyNetConfig(arch=ArchParams(4, 2, 8, 16), emb=SMALL.emb, seed=2**40 + 7)
+        digest = "0e6c9e52f15de5ad9b614d1683de8f569fed015b7f28f4f2b27f678e7f89c0c2"
+        for net in (ToyNet.build(cfg), ToyNet.build(cfg, streamed=True)):
+            assert hashlib.sha256(weight_bytes(net)).hexdigest() == digest
 
 
 class TestInstantiatedCount:
