@@ -28,9 +28,6 @@ GELU_CUBIC = 0.44715
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 # Elements per gelu block: whole rows of the last axis, one row at least.
 _GELU_BLOCK = 1 << 15
-# For finite x at or below this, _GELU_SCALE * (x + GELU_CUBIC * x**3) <= -26.0,
-# whose tanh rounds to exactly -1.0, so gelu(x) is -0.0 whatever the cube is.
-_GELU_FIXED_AT = -4.0
 # Elements per weight-fill chunk (8 MiB of float64): many chunks keep the
 # threads evenly loaded, and seeding one generator per chunk costs little.
 _FILL_CHUNK = 1 << 20
@@ -68,13 +65,15 @@ def _run_parts(fn, parts) -> None:
 def gelu(x, out=None):
     """tanh-form GeLU approximation; accepts scalars or arrays.
 
-    A float array with at least one axis is computed over blocks of whole rows
-    of the last axis, with the same ufuncs on the same operands as the
-    expression, so the result is bitwise equal and only one block's cube is
-    held per thread. The one exception changes no bit: finite lanes at or
-    below _GELU_FIXED_AT, where the expression is -0.0, cube 0.0 instead (a
-    fast np.power operand) and are then set to -0.0. The blocks are dealt out
-    to one thread per CPU and the calling thread, each with its own scratch.
+    The cube is x * x * x: two correctly rounded multiplies, whose bits no
+    SIMD width changes, where np.power falls back to a slow per-lane loop for
+    negative bases. A float array with at least one axis is computed over
+    blocks of whole rows of the last axis, with the same ufuncs on the same
+    operands as the expression, so the result is bitwise equal and only one
+    block's cube is held per thread. A NaN input is the one exception: its
+    lane holds x's NaN or tanh's, as numpy's multiply picks either NaN operand
+    by the lane's place in its SIMD loop. The blocks are dealt out to one thread
+    per CPU and the calling thread, each with its own scratch.
     Without `out` the result is a fresh array and `x` is never written; `out`
     (a C-contiguous array of x's shape and dtype, `x` itself included)
     receives the result and is returned, and any other input with `out` is a
@@ -84,7 +83,7 @@ def gelu(x, out=None):
     if not (isinstance(x, np.ndarray) and x.ndim and x.dtype.kind == "f"):
         if out is not None:
             raise ValueError("out needs a float array input with at least one axis")
-        return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + GELU_CUBIC * x**3)))
+        return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + GELU_CUBIC * (x * x * x))))
     if out is None:
         out = np.empty(x.shape, dtype=x.dtype)
     elif out.shape != x.shape or out.dtype != x.dtype or not out.flags.c_contiguous:
@@ -98,17 +97,12 @@ def gelu(x, out=None):
 
     def run(part_starts):
         scratch = np.empty((min(step, rows), width), dtype=x.dtype)
-        fixed_scratch = np.empty(scratch.shape, dtype=bool)
         for start in part_starts:
             xb = x_rows[start : start + step]
             ob = out_rows[start : start + step]
             inner = scratch[: len(xb)]
-            fixed = fixed_scratch[: len(xb)]
-            np.less_equal(xb, _GELU_FIXED_AT, out=fixed)
-            fixed &= xb != -np.inf  # -inf gives NaN, as in the expression
-            np.copyto(inner, xb)
-            np.copyto(inner, 0.0, where=fixed)
-            np.power(inner, 3, out=inner)
+            np.multiply(xb, xb, out=inner)
+            inner *= xb
             inner *= GELU_CUBIC
             inner += xb
             inner *= _GELU_SCALE
@@ -116,7 +110,6 @@ def gelu(x, out=None):
             inner += 1.0
             np.multiply(0.5, xb, out=ob)
             ob *= inner
-            np.copyto(ob, -0.0, where=fixed)
 
     workers = min(_workers() + 1, len(starts))
     _run_parts(run, [starts[i::workers] for i in range(workers)])

@@ -263,7 +263,7 @@ class TestInPlaceKernels:
             gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
             mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
             assert np.array_equal(
-                gelu(x), 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * x**3)))
+                gelu(x), 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * (x * x * x))))
             )
             assert np.array_equal(softmax(x), weights / np.sum(weights, axis=-1, keepdims=True))
             assert np.array_equal(
@@ -272,26 +272,29 @@ class TestInPlaceKernels:
             assert np.array_equal(x, before)
 
     def test_forward_digest_pinned(self):
-        # sha256 of the output bytes before the kernels worked in place (float64, same seeds).
+        # sha256 of the output bytes with gelu's cube as x * x * x (float64, same seeds).
+        # Host-bound: tanh, exp and the matmuls take their bits from numpy's SIMD
+        # dispatch and the BLAS kernel, so this holds on an AVX-512 host (ROADMAP item 10).
         cfg = ToyNetConfig(
             arch=ArchParams(2, 4, 16, 32), emb=EmbeddingConfig(64, 16, 8, 1), seed=11
         )
         tokens = np.random.default_rng(5).integers(0, 64, size=(2, 8))
         out = forward(ToyNet.build(cfg), tokens)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "e25fcd816e188be9911d6537daa44d0fac44c47448c80f059e7f4952246fc4ef"
+            "cbf43aa0a8dfee244ce4f45a1320a3dc74e920ca02523f8e50ff9d9873ffff3c"
         )
 
     def test_forward_digest_pinned_with_saturated_gelu_inputs(self):
-        # sha256 of the output bytes while gelu still cubed every lane (float64,
-        # same seeds); 9,073 of the net's 131,072 gelu inputs are <= -4.
+        # sha256 of the output bytes with gelu's cube as x * x * x (float64, same
+        # seeds); 9,073 of the net's 131,072 gelu inputs are <= -4, where the
+        # expression's tanh is -1.0. Host-bound like the pin above (ROADMAP item 10).
         cfg = ToyNetConfig(
             arch=ArchParams(2, 4, 512, 1024), emb=EmbeddingConfig(100, 32, 32, 1), seed=11
         )
         tokens = np.random.default_rng(5).integers(0, 100, size=(2, 32))
         out = forward(ToyNet.build(cfg), tokens)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "a15255d86d164cc8ab9be3433109f41405b17739998cce9e97dbcce07e31f641"
+            "d1a2a08c19814f219f588e7cf86c5683bfcee44dda0efad9eeba106691b046b3"
         )
 
 
@@ -359,7 +362,7 @@ class TestBlockedKernels:
         cubic, scale = 0.44715, math.sqrt(2.0 / math.pi)
         x = np.random.default_rng(len(shape)).normal(size=shape) * 4
         fresh = gelu(x.copy())
-        assert np.array_equal(fresh, 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * x**3))))
+        assert np.array_equal(fresh, 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * (x * x * x)))))
         assert gelu(x, out=x) is x
         assert np.array_equal(x, fresh)
 
@@ -420,6 +423,40 @@ def eight_workers(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.fixture(params=[1, 8], ids=["one_worker", "eight_workers"])
+def gelu_workers(request, monkeypatch):
+    """gelu's blocks on this thread alone, or on the eight_workers fixture's threads."""
+    if request.param == 1:
+        monkeypatch.setattr(toynet, "_workers", lambda: 1)
+    else:
+        request.getfixturevalue("eight_workers")
+
+
+def float_bits(value: float) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+# float64 bit patterns: any at all (NaN payloads included), subnormals of both
+# signs, the range the tanh form bends in, negatives whose cube overflows, and
+# the edge values.
+gelu_bits = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.tuples(st.booleans(), st.integers(1, 2**52 - 1)).map(lambda t: t[0] << 63 | t[1]),
+    st.floats(-8.0, 8.0).map(float_bits),
+    st.floats(max_value=-5.7e102, allow_infinity=False).map(float_bits),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -4.0, np.nextafter(-4.0, 0.0),
+                     -np.finfo(float).max, -np.finfo(float).tiny]).map(float_bits),
+)
+
+
+@st.composite
+def gelu_arrays(draw):
+    """A (rows, width) float64 array of gelu_bits patterns."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    bits = draw(st.lists(gelu_bits, min_size=rows * width, max_size=rows * width))
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, width)
+
+
 class TestThreadedKernels:
     """The weight fill and gelu, split over threads, give the sequential bits."""
 
@@ -459,7 +496,7 @@ class TestThreadedKernels:
     def test_gelu_matches_plain_expression(self, shape, eight_workers):
         cubic, scale = 0.44715, math.sqrt(2.0 / math.pi)
         x = np.random.default_rng(sum(shape)).normal(size=shape) * 4
-        expected = 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * x**3)))
+        expected = 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * (x * x * x))))
         assert np.array_equal(gelu(x), expected)
         assert gelu(x, out=x) is x
         assert np.array_equal(x, expected)
@@ -473,7 +510,7 @@ class TestThreadedKernels:
         x[:, : len(special)] = special  # every row, so every block and thread
         assert np.count_nonzero(x <= -4) > 40_000
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * x**3)))
+            expected = 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * (x * x * x))))
         for out in (None, x):  # -inf * 0.0 warns in gelu too
             with pytest.warns(RuntimeWarning, match="invalid value"):
                 result = gelu(x, out=out)
@@ -489,6 +526,42 @@ class TestThreadedKernels:
                 gelu(x)
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             gelu(x)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(x=gelu_arrays(), block=st.integers(1, 16))
+    def test_gelu_bits_match_plain_expression_on_any_input(self, x, block, gelu_workers,
+                                                          monkeypatch):
+        # Blocks of at most 16 elements, so most arrays span several blocks and threads.
+        monkeypatch.setattr(toynet, "_GELU_BLOCK", block)
+        cubic, scale = 0.44715, math.sqrt(2.0 / math.pi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = 0.5 * x
+            factor = 1.0 + np.tanh(scale * (x + cubic * (x * x * x)))
+            expected = half * factor
+            fresh = gelu(x)
+            in_place = x.copy()
+            assert gelu(in_place, out=in_place) is in_place
+        # Where x is a NaN, the last multiply has two NaN operands: half holds x's
+        # NaN, and factor holds tanh's default NaN. numpy's multiply returns either,
+        # by the lane's place in its SIMD loop, so those lanes must hold one of the
+        # two. Every other lane is compared bit for bit.
+        nan = np.isnan(x)
+        saturated = np.isfinite(x) & (x <= -4.0)
+        for result in (fresh, in_place):
+            bits = result.view(np.uint64)
+            assert np.array_equal(bits[~nan], expected.view(np.uint64)[~nan])
+            assert ((bits[nan] == half.view(np.uint64)[nan])
+                    | (bits[nan] == factor.view(np.uint64)[nan])).all()
+            assert (bits[saturated] == float_bits(-0.0)).all()
+
+    def test_gelu_warns_where_the_cube_overflows(self, eight_workers):
+        x = np.array([[-5.7e102, -np.finfo(float).max, 1e200, 2.0]] * 300)
+        for out in (None, x.copy()):
+            with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+                result = gelu(x if out is None else out, out=out)
+            assert (result[:, :2].view(np.uint64) == float_bits(-0.0)).all()
+            assert np.array_equal(result[:, 2:], np.tile([1e200, gelu(2.0)], (300, 1)))
 
     def test_run_parts_gives_the_calling_thread_the_first_part(self, eight_workers):
         ran = []
