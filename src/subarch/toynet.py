@@ -24,7 +24,8 @@ from .errors import ConfigError, DataError
 from .metrics import finite_number
 from .space import ArchParams, EmbeddingConfig
 
-GELU_CUBIC = 0.44715
+# The tanh form's cubic coefficient (Hendrycks & Gimpel, arXiv 1606.08415).
+GELU_CUBIC = 4.4715e-2
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 # Elements per gelu block: whole rows of the last axis, one row at least.
 _GELU_BLOCK = 1 << 15
