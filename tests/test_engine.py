@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BORT, ROBERTA_EMB, ROBERTA_LARGE, grid_space, write_config
@@ -431,6 +431,57 @@ def test_w_inverse_error_scaling(t_params, t_latency, f_params, f_latency, error
     base = w_coefficient(MetricTriple(f_params, f_latency, error), maxpoint)
     rescaled = w_coefficient(MetricTriple(f_params, f_latency, error * k), maxpoint)
     assert abs(rescaled * k - base) <= 1e-9 * max(1.0, abs(base))
+
+
+def smallest_valid_point(space: SearchSpace) -> ArchParams:
+    """The least even depth and intermediate, the least hidden size that some head
+    count divides, and the least such head count."""
+    hidden = min(h for h in space.hiddens if any(h % a == 0 for a in space.heads))
+    return ArchParams(
+        min(d for d in space.depths if d % 2 == 0),
+        min(a for a in space.heads if hidden % a == 0),
+        hidden,
+        min(space.intermediates),
+    )
+
+
+def small_axis(top: int):
+    return st.lists(st.integers(1, top), min_size=1, max_size=4, unique=True)
+
+
+# Depths with an even one, as odd depths are invalid: most grids have valid points.
+small_grids = st.builds(
+    SearchSpace,
+    small_axis(12).filter(lambda depths: any(d % 2 == 0 for d in depths)),
+    small_axis(12),
+    small_axis(96),
+    small_axis(96),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    space=small_grids,
+    maxpoint=st.sampled_from([ROBERTA_LARGE, ArchParams(2, 1, 32, 32), ArchParams(4, 1, 64, 64)]),
+    error=st.floats(1e-3, 1e3),
+)
+# Ascending architecture order starts at <2,3,96,64>, but <2,4,64,64> is smaller.
+@example(space=SearchSpace((2, 4), (3, 4), (64, 96), (64, 128)), maxpoint=ROBERTA_LARGE,
+         error=1.0)
+def test_constant_error_ranks_the_smallest_valid_point_first(space, maxpoint, error):
+    # Heads change neither count, and params and FLOPs both rise with depth, hidden
+    # and intermediate, so under a constant error no other point reaches its w, and
+    # a maximum point that excludes it excludes every candidate.
+    assume(enumerate_space(space))
+    smallest = smallest_valid_point(space)
+    config = SearchConfig(space=space, maxpoint=maxpoint, emb=ROBERTA_EMB,
+                          error_model=ConstantErrorModel(error))
+    try:
+        result = run_extraction(config).result
+    except DataError as exc:
+        assert "no candidates remain" in str(exc)
+        return
+    assert result.ranked[0].arch == smallest
 
 
 def oracle_json(report: ExtractionReport) -> str:
