@@ -63,6 +63,23 @@ def _run_parts(fn, parts) -> None:
             future.result()
 
 
+def _check_out(x, out) -> bool:
+    """Whether x is a float array with at least one axis; with `out` given, a
+    ValueError unless it is and `out` is a C-contiguous array of its shape and
+    dtype (x itself included). gelu, softmax and layer_norm write their result
+    to `out` and return it; without `out` it is a fresh array, x never written.
+    """
+    floats = isinstance(x, np.ndarray) and x.ndim > 0 and x.dtype.kind == "f"
+    if out is None:
+        return floats
+    if not floats:
+        raise ValueError("out needs a float array input with at least one axis")
+    if not (isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == x.dtype
+            and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous array of the input's shape and dtype")
+    return True
+
+
 def gelu(x, out=None):
     """tanh-form GeLU approximation; accepts scalars or arrays.
 
@@ -75,20 +92,13 @@ def gelu(x, out=None):
     lane holds x's NaN or tanh's, as numpy's multiply picks either NaN operand
     by the lane's place in its SIMD loop. The blocks are dealt out to one thread
     per CPU and the calling thread, each with its own scratch.
-    Without `out` the result is a fresh array and `x` is never written; `out`
-    (a C-contiguous array of x's shape and dtype, `x` itself included)
-    receives the result and is returned, and any other input with `out` is a
-    ValueError. Each block of `x` is read before the same block of `out` is
-    written, so `gelu(x, out=x)` is safe.
+    `out` is as _check_out says. Each block of `x` is read before the same
+    block of `out` is written, so `gelu(x, out=x)` is safe.
     """
-    if not (isinstance(x, np.ndarray) and x.ndim and x.dtype.kind == "f"):
-        if out is not None:
-            raise ValueError("out needs a float array input with at least one axis")
+    if not _check_out(x, out):
         return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + GELU_CUBIC * (x * x * x))))
     if out is None:
         out = np.empty(x.shape, dtype=x.dtype)
-    elif out.shape != x.shape or out.dtype != x.dtype or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous array of the input's shape and dtype")
     width = x.shape[-1]
     rows = math.prod(x.shape[:-1])
     x_rows = x.reshape(rows, width)
@@ -117,40 +127,43 @@ def gelu(x, out=None):
     return out
 
 
-def softmax(x, axis: int = -1):
+def softmax(x, axis: int = -1, out=None):
     """Numerically stable softmax; rows sum to 1 and entries lie in (0, 1].
 
     The exponent and the division reuse the buffer of shifted values (a
-    float one); the input is never written.
+    float one), which is `out` when given (see _check_out).
     """
     if np.ndim(x) == 0:
         raise ValueError(f"softmax needs an input with at least one axis (got shape {np.shape(x)})")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    _check_out(x, out)
+    shifted = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     weights = np.exp(shifted, out=shifted if shifted.dtype.kind == "f" else None)
     weights /= np.sum(weights, axis=axis, keepdims=True)
     return weights
 
 
-def layer_norm(x, scale, shift, eps: float = 1e-5):
+def layer_norm(x, scale, shift, eps: float = 1e-5, out=None):
     """Normalize along the last axis to zero mean and (near) unit variance, then affine.
 
     Uses population variance; eps guards the zero-variance case, in which the
     pre-affine output is exactly zero. The pre-affine variance is
     var / (var + eps), so it approaches 1 only for inputs whose variance is
-    large against eps.
+    large against eps. var repeats x.var's steps on the centred output, bit
+    for bit; with `out` (see _check_out) the arithmetic runs in x's dtype.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive (got {eps})")
-    x = np.asarray(x, dtype=float)
+    _check_out(x, out)
+    x = np.asarray(x, dtype=float) if out is None else x
     scale = np.asarray(scale, dtype=float)
     shift = np.asarray(shift, dtype=float)
     if x.ndim == 0:
         raise ValueError(f"layer_norm needs an input with at least one axis (got shape {x.shape})")
     if x.shape[-1] < 1 or scale.shape != (x.shape[-1],) or shift.shape != (x.shape[-1],):
         raise ValueError("scale and shift must match the last axis of x")
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    out = x - mean
+    out = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
+    var = np.square(out).sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
     out /= np.sqrt(var + eps)
     out *= scale
     out += shift
@@ -174,9 +187,9 @@ def attention(x, query, key, value, heads: int, stats: ForwardStats | None = Non
     query/key/value are (weight, bias) pairs of full-width projections; the
     softmax runs per head over blocks of width hidden/heads, with scores
     divided by sqrt(hidden/heads). Scores are formed one (sequence, head)
-    block at a time, so only one sequence-by-sequence matrix is live; each
-    block makes the same 2-D matmul calls, with the same strides, as a
-    batched product over all heads.
+    block at a time into one sequence-by-sequence scratch, where softmax
+    turns them into probabilities in place; each block makes the same 2-D
+    matmul calls, with the same strides, as a batched product over all heads.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
@@ -197,15 +210,15 @@ def attention(x, query, key, value, heads: int, stats: ForwardStats | None = Non
     k = project(key)
     v = project(value)
     attended = np.empty_like(q)
+    scores = np.empty((x.shape[-2], x.shape[-2]))
     for idx in np.ndindex(x.shape[:-2]):
         for h in range(heads):
-            block = q[idx][:, h] @ k[idx][:, h].T
-            block /= math.sqrt(head_dim)
-            # Rebinding frees the raw scores once the probabilities exist.
-            block = softmax(block, axis=-1)
+            np.matmul(q[idx][:, h], k[idx][:, h].T, out=scores)
+            scores /= math.sqrt(head_dim)
+            softmax(scores, axis=-1, out=scores)
             if stats is not None:
-                stats.record_softmax(block)
-            np.matmul(block, v[idx][:, h], out=attended[idx][:, h])
+                stats.record_softmax(scores)
+            np.matmul(scores, v[idx][:, h], out=attended[idx][:, h])
     return attended.reshape(x.shape)
 
 
@@ -359,21 +372,31 @@ def _draw(seed: int, stretches) -> None:
     """Fill each (stream offset, flat array) stretch with the uniform(-1/2, 1/2)
     draws found at that offset of the Generator(PCG64(seed)) stream.
 
-    Fixed-size chunks are filled on threads, each from its own generator
-    advanced to the chunk's offset; that is exact because each double takes
-    one 64-bit draw and u - 0.5 is exact.
+    The stretches are cut, in the order given, into chunks of _FILL_CHUNK
+    elements: a chunk may span several stretches and a stretch several chunks.
+    Each chunk is filled on a thread by one generator advanced (modulo its
+    period, so back too) from piece to piece; that is exact because each
+    double takes one 64-bit draw and u - 0.5 is exact.
     """
-    chunks = [
-        (at + start, flat[start : start + _FILL_CHUNK])
-        for at, flat in stretches
-        for start in range(0, flat.size, _FILL_CHUNK)
-    ]
+    chunks, room = [], 0
+    for at, flat in stretches:
+        start = 0
+        while start < flat.size:
+            if not room:
+                chunks.append([])
+                room = _FILL_CHUNK
+            piece = flat[start : start + room]
+            chunks[-1].append((at + start, piece))
+            room -= piece.size
+            start += piece.size
 
-    def fill(part):
-        chunk_offset, chunk = part
-        bits = np.random.PCG64(seed).advance(chunk_offset)
-        np.random.Generator(bits).random(out=chunk)
-        chunk -= 0.5
+    def fill(chunk):
+        draws, place = np.random.Generator(np.random.PCG64(seed)), 0
+        for at, piece in chunk:
+            draws.bit_generator.advance(at - place)
+            draws.random(out=piece)
+            piece -= 0.5
+            place = at + piece.size
 
     _run_parts(fill, chunks)
 
@@ -440,7 +463,7 @@ def _encoder_block(x, weights, heads: int, eps: float, stats):
     # weights: one layer's arrays, by their names within the layer. One working
     # name, rebound at each step, so every activation is freed once the next
     # step has read it; the in-place adds are the same np.add calls on the same
-    # operands as the expression form.
+    # operands as the expression form, and each norm writes over its input.
     h = attention(
         x,
         (weights["attention.query.weight"], weights["attention.query.bias"]),
@@ -452,14 +475,16 @@ def _encoder_block(x, weights, heads: int, eps: float, stats):
     h = h @ weights["attention.output.weight"]
     h += weights["attention.output.bias"]
     h += x
-    mixed = layer_norm(h, weights["attention_norm.scale"], weights["attention_norm.shift"], eps)
+    mixed = layer_norm(
+        h, weights["attention_norm.scale"], weights["attention_norm.shift"], eps, out=h
+    )
     h = mixed @ weights["intermediate.weight"]
     h += weights["intermediate.bias"]
     h = gelu(h, out=h)
     h = h @ weights["projection.weight"]
     h += weights["projection.bias"]
     h += mixed
-    return layer_norm(h, weights["output_norm.scale"], weights["output_norm.shift"], eps)
+    return layer_norm(h, weights["output_norm.scale"], weights["output_norm.shift"], eps, out=h)
 
 
 def _layers(net: ToyNet):

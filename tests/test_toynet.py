@@ -5,11 +5,13 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import TINY_EMB
 from subarch import toynet
@@ -30,6 +32,9 @@ from subarch.toynet import (
     layer_norm,
     softmax,
 )
+
+# The real bit generator, for tests that count its constructions through a wrapper.
+PCG64 = np.random.PCG64
 
 SMALL = ToyNetConfig(
     arch=ArchParams(2, 2, 8, 16), emb=EmbeddingConfig(32, 16, 8, 1), seed=3
@@ -419,6 +424,85 @@ class TestBlockedKernels:
         assert peak < 2 * 4 * 128 * 128 * 8
 
 
+@st.composite
+def kernel_inputs(draw):
+    """A float64 array of 1-3 axes, the last 1-600 wide, with signed zeros, subnormals
+    and magnitudes up to 1e300 (whose squares overflow), and an axis of it."""
+    shape = (*draw(st.lists(st.integers(1, 3), max_size=2)), draw(st.integers(1, 600)))
+    values = st.one_of(st.floats(-1e300, 1e300), st.floats(-40.0, 40.0),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -np.finfo(float).tiny]))
+    x = draw(hnp.arrays(np.float64, shape, elements=values))
+    return x, draw(st.integers(-len(shape), len(shape) - 1))
+
+
+class TestOutBuffers:
+    """softmax and layer_norm take gelu's `out`: the same bits, written where asked."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_inputs())
+    def test_out_gives_the_bits_of_a_fresh_result(self, case):
+        x, axis = case
+        width = x.shape[-1]
+        scale, shift = np.linspace(-2.0, 3.0, width), np.linspace(1.0, -1.0, width)
+        kernels = [lambda a, out=None: softmax(a, axis, out=out),
+                   lambda a, out=None: layer_norm(a, scale, shift, 1e-5, out=out)]
+        before = x.copy()
+        with np.errstate(over="ignore", under="ignore"):
+            for kernel in kernels:
+                fresh = kernel(x)
+                given_out, in_place = np.empty_like(x), x.copy()
+                assert kernel(x, out=given_out) is given_out
+                assert kernel(in_place, out=in_place) is in_place
+                for result in (given_out, in_place):
+                    assert np.array_equal(result.view(np.uint64), fresh.view(np.uint64))
+                assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "kernel", [softmax, lambda x, out: layer_norm(x, np.ones(9), np.zeros(9), out=out)],
+        ids=["softmax", "layer_norm"],
+    )
+    @pytest.mark.parametrize(
+        "x,out",
+        [
+            (np.zeros((3, 9)), np.empty((3, 8))),
+            (np.zeros((3, 9)), np.empty((3, 9), dtype=np.float32)),
+            (np.zeros((3, 9)), np.empty((9, 3)).T),
+            (np.zeros((3, 9)), [[0.0] * 9] * 3),
+            (np.arange(9), np.zeros(9)),
+            (np.array(2.0), np.zeros(())),
+        ],
+        ids=["shape", "dtype", "not_contiguous", "not_an_array", "int_input", "zero_dim"],
+    )
+    def test_a_mismatched_out_is_rejected(self, kernel, x, out):
+        before = np.array(out, copy=True)
+        with pytest.raises(ValueError):
+            kernel(x, out=out)
+        assert np.array_equal(np.asarray(out), before)
+
+    def test_out_keeps_a_float32_input_in_float32(self):
+        x = np.random.default_rng(14).normal(size=(4, 8)).astype(np.float32)
+
+        def norm(a, out=None):
+            return layer_norm(a, np.ones(8), np.zeros(8), out=out)
+
+        for kernel in (softmax, norm):
+            result = kernel(x, out=np.empty_like(x))
+            assert result.dtype == np.float32
+            assert np.allclose(result, kernel(x.astype(np.float64)), rtol=1e-5, atol=1e-5)
+
+    def test_softmax_in_place_allocates_only_the_row_reductions(self):
+        # Beside the row maxima and sums, numpy's ufunc iterator may take one buffer of
+        # getbufsize() elements for the broadcast subtract and divide; a copy of x is 512 KiB.
+        x = np.random.default_rng(13).normal(size=(256, 256))
+        tracemalloc.start()
+        try:
+            softmax(x, out=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 8 + np.getbufsize() * x.itemsize
+
+
 def sequential_weights(net: ToyNet) -> dict[str, np.ndarray]:
     """The reference draw: one default_rng(seed).uniform call per array, in creation order."""
     rng = np.random.default_rng(net.config.seed)
@@ -438,8 +522,9 @@ def eight_workers(monkeypatch):
 
 
 @pytest.fixture(params=[1, 8], ids=["one_worker", "eight_workers"])
-def gelu_workers(request, monkeypatch):
-    """gelu's blocks on this thread alone, or on the eight_workers fixture's threads."""
+def workers(request, monkeypatch):
+    """gelu's blocks or the draw's chunks on this thread alone, or on the eight_workers
+    fixture's threads."""
     if request.param == 1:
         monkeypatch.setattr(toynet, "_workers", lambda: 1)
     else:
@@ -469,6 +554,19 @@ def gelu_arrays(draw):
     rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     bits = draw(st.lists(gelu_bits, min_size=rows * width, max_size=rows * width))
     return np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, width)
+
+
+@st.composite
+def stretch_lists(draw):
+    """(stream offset, size) of stretches with gaps between them, touching, overlapping
+    or empty, in stream order or shuffled."""
+    stretches, at = [], 0
+    for gap, size in draw(st.lists(st.tuples(st.integers(-20, 40), st.integers(0, 30)),
+                                   min_size=1, max_size=12)):
+        at = max(0, at + gap)
+        stretches.append((at, size))
+        at += size
+    return draw(st.permutations(stretches)) if draw(st.booleans()) else stretches
 
 
 class TestThreadedKernels:
@@ -525,8 +623,9 @@ class TestThreadedKernels:
         assert np.count_nonzero(x <= -4) > 40_000
         with np.errstate(over="ignore", invalid="ignore"):
             expected = 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * (x * x * x))))
-        for out in (None, x):  # -inf * 0.0 warns in gelu too
-            with pytest.warns(RuntimeWarning, match="invalid value"):
+        for out in (None, x):  # -inf * 0.0 and the cube of -1e300 warn in gelu too
+            with (pytest.warns(RuntimeWarning, match="invalid value"),
+                  pytest.warns(RuntimeWarning, match="overflow encountered in multiply")):
                 result = gelu(x, out=out)
             assert np.array_equal(result.view(np.uint64), expected.view(np.uint64))
 
@@ -544,8 +643,7 @@ class TestThreadedKernels:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(x=gelu_arrays(), block=st.integers(1, 16))
-    def test_gelu_bits_match_plain_expression_on_any_input(self, x, block, gelu_workers,
-                                                          monkeypatch):
+    def test_gelu_bits_match_plain_expression_on_any_input(self, x, block, workers, monkeypatch):
         # Blocks of at most 16 elements, so most arrays span several blocks and threads.
         monkeypatch.setattr(toynet, "_GELU_BLOCK", block)
         cubic, scale = 0.044715, math.sqrt(2.0 / math.pi)
@@ -579,6 +677,20 @@ class TestThreadedKernels:
                 result = gelu(x if out is None else out, out=out)
             assert (result[:, :2].view(np.uint64) == float_bits(-0.0)).all()
             assert (result[:, 2] == 1e200).all()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=stretch_lists(), chunk=st.integers(1, 64), seed=st.sampled_from([0, 2**40 + 7]))
+    def test_draw_reads_the_stream_at_each_offset(self, case, chunk, seed, workers, monkeypatch):
+        monkeypatch.setattr(toynet, "_FILL_CHUNK", chunk)
+        seeded = []
+        monkeypatch.setattr(np.random, "PCG64", lambda s: seeded.append(s) or PCG64(s))
+        stretches = [(at, np.full(size, np.nan)) for at, size in case]
+        toynet._draw(seed, stretches)
+        stream = np.random.default_rng(seed).random(max(at + a.size for at, a in stretches))
+        for at, array in stretches:
+            assert array.tobytes() == (stream[at : at + array.size] - 0.5).tobytes()
+        assert len(seeded) == math.ceil(sum(a.size for _, a in stretches) / chunk)
 
     def test_run_parts_gives_the_calling_thread_the_first_part(self, eight_workers):
         ran = []
@@ -669,6 +781,17 @@ class TestDrawnTokenRows:
             == count_instantiated_params(ToyNet.build(SMALL))
             == param_count(SMALL.arch, SMALL.emb)
         )
+
+    def test_build_seeds_one_generator_per_chunk_not_per_row(self, monkeypatch):
+        monkeypatch.setattr(toynet, "_FILL_CHUNK", 4096)
+        seeded = []
+        monkeypatch.setattr(np.random, "PCG64", lambda s: seeded.append(s) or PCG64(s))
+        cfg = ToyNetConfig(arch=ArchParams(2, 2, 16, 32), emb=EmbeddingConfig(5000, 16, 10, 1))
+        ids = np.random.default_rng(4).choice(5000, size=1000, replace=False)
+        net = ToyNet.build(cfg, tokens=ids.reshape(100, 10))
+        assert net.weights["embedding.token_table"].shape == (1000, 16)
+        drawn = sum(array.size for array in net.weights.values())
+        assert len(seeded) == math.ceil(drawn / 4096) < 10
 
     def test_memory_holds_the_drawn_rows_not_the_table(self):
         # The full 50,265 x 64 table is 24.5 MiB; 16 drawn rows are 8 KiB.
@@ -763,6 +886,33 @@ class TestStreamedLayers:
         digest = "0e6c9e52f15de5ad9b614d1683de8f569fed015b7f28f4f2b27f678e7f89c0c2"
         for net in (ToyNet.build(cfg), ToyNet.build(cfg, streamed=True)):
             assert hashlib.sha256(weight_bytes(net)).hexdigest() == digest
+
+
+class TestTracerContract:
+    """perfbench/spans.py times the kernels by patching their module names, and its
+    tracer is not thread-safe: each must be called through that name, from the caller's
+    thread, once per sequence, layer and head as the trace expects."""
+
+    def test_kernel_calls_and_their_thread(self, eight_workers, monkeypatch):
+        monkeypatch.setattr(toynet, "_GELU_BLOCK", 24)  # gelu's blocks go to threads
+        monkeypatch.setattr(toynet, "_FILL_CHUNK", 64)  # and so do each layer's draws
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("softmax", "layer_norm", "gelu", "attention", "_encoder_block"):
+            monkeypatch.setattr(toynet, name, counting(name, getattr(toynet, name)))
+        cfg = ToyNetConfig(arch=ArchParams(2, 3, 12, 24), emb=EmbeddingConfig(40, 8, 8, 1))
+        tokens = np.random.default_rng(7).integers(0, 40, size=(2, 8))
+        forward(ToyNet.build(cfg, tokens=tokens, streamed=True), tokens)
+        assert Counter(name for name, _ in calls) == {
+            "softmax": 12, "layer_norm": 10, "gelu": 4, "attention": 4, "_encoder_block": 4
+        }
+        assert {thread for _, thread in calls} == {threading.get_ident()}
 
 
 class TestInstantiatedCount:
