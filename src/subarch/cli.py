@@ -306,7 +306,8 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     )
     # A bad token fails before any weight is drawn. The net draws only the
     # token-table rows read, so its weights are the count less the rows left out;
-    # it is streamed, so forward holds one encoder layer of them at a time.
+    # it is streamed, so forward holds one group of them at a time: the embedding,
+    # half an encoder layer or the pooler.
     tokens = check_tokens(_read_tokens(args.tokens, emb.seq), emb)
     rows_left_out = emb.vocab - np.unique(tokens).size
     weight_bytes = (param_count(arch, emb) - rows_left_out * arch.hidden) * 8

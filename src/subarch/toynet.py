@@ -27,7 +27,7 @@ from .space import ArchParams, EmbeddingConfig
 # The tanh form's cubic coefficient (Hendrycks & Gimpel, arXiv 1606.08415).
 GELU_CUBIC = 4.4715e-2
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
-# Elements per gelu block: whole rows of the last axis, one row at least.
+# Elements per gelu or layer_norm block: whole rows of the last axis, one row at least.
 _GELU_BLOCK = 1 << 15
 # Elements per weight-fill chunk (8 MiB of float64): many chunks keep the
 # threads evenly loaded, and seeding one generator per chunk costs little.
@@ -149,7 +149,9 @@ def layer_norm(x, scale, shift, eps: float = 1e-5, out=None):
     pre-affine output is exactly zero. The pre-affine variance is
     var / (var + eps), so it approaches 1 only for inputs whose variance is
     large against eps. var repeats x.var's steps on the centred output, bit
-    for bit; with `out` (see _check_out) the arithmetic runs in x's dtype.
+    for bit: each row's squares are summed alone, so squaring blocks of rows
+    into one small scratch gives the same sums. With `out` (see _check_out)
+    the arithmetic runs in x's dtype.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive (got {eps})")
@@ -162,8 +164,16 @@ def layer_norm(x, scale, shift, eps: float = 1e-5, out=None):
     if x.shape[-1] < 1 or scale.shape != (x.shape[-1],) or shift.shape != (x.shape[-1],):
         raise ValueError("scale and shift must match the last axis of x")
     out = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
-    var = np.square(out).sum(axis=-1, keepdims=True)
-    var /= x.shape[-1]
+    width = x.shape[-1]
+    rows = out.reshape(-1, width)
+    var = np.empty(len(rows), dtype=out.dtype)
+    step = max(1, _GELU_BLOCK // width)
+    scratch = np.empty((min(step, len(rows)), width), dtype=out.dtype)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        np.sum(np.square(block, out=scratch[: len(block)]), axis=-1, out=var[start : start + step])
+    var = var.reshape(*out.shape[:-1], 1)
+    var /= width
     out /= np.sqrt(var + eps)
     out *= scale
     out += shift
@@ -249,8 +259,8 @@ class ToyNetConfig:
 
 
 class ToyNet:
-    """One instantiated network: a config, named weight arrays, the token ids held
-    and, for a streamed net, the stream offset of each encoder layer it leaves out.
+    """One instantiated network: a config, named weight arrays and the token ids
+    held. A streamed net holds no array: forward draws each group as it runs.
 
     Immutable after construction; forward passes never mutate it, so a net is
     safe to share across threads.
@@ -261,8 +271,6 @@ class ToyNet:
         self.weights = dict(weights)
         # The ids of the token-table rows held, ascending, as build sets them; None: every row.
         self.token_ids: np.ndarray | None = None
-        # Each encoder layer's stream offset when forward draws the layers; None: held in weights.
-        self.layer_offsets: tuple[int, ...] | None = None
 
     @classmethod
     def build(cls, config: ToyNetConfig, tokens=None, *, streamed: bool = False) -> "ToyNet":
@@ -279,58 +287,23 @@ class ToyNet:
         stretch of the full table's span; every other array and its stream
         offset are unchanged. check_tokens raises its DataError for a bad matrix.
 
-        streamed=True holds no encoder layer: the net keeps each layer's stream
-        offset, and forward draws the layer's arrays, with the same bits, when
-        it reaches it.
+        streamed=True draws nothing and holds no array, only the token ids:
+        forward draws each group of _layout, with the same bits, when it
+        reaches it.
         """
-        hidden = config.arch.hidden
         token_ids = None
         if tokens is not None:  # a fresh array the caller cannot change
             token_ids = np.unique(check_tokens(tokens, config.emb))
             token_ids.flags.writeable = False
-        weights: dict[str, np.ndarray] = {}
-        stretches = []  # (stream offset, flat view) of each stretch to fill
-        layer_offsets = []
-        for prefix, shapes, start in _layout(config):
-            if streamed and prefix.startswith("encoder."):
-                layer_offsets.append(start)
-                continue
-            for name, shape, offset in _walk(shapes, start):
-                name = f"{prefix}.{name}"
-                if name == "embedding.token_table" and token_ids is not None:
-                    # Row r is the stretch at r * hidden of the whole table's span.
-                    array = weights[name] = np.empty((token_ids.size, hidden))
-                    rows = zip(token_ids.tolist(), array)
-                    stretches += [(offset + r * hidden, row) for r, row in rows]
-                else:
-                    array = weights[name] = np.empty(shape)
-                    stretches.append((offset, array.reshape(-1)))
+        weights, stretches = {}, []  # arrays by name; (stream offset, flat view) to fill
+        for prefix, shapes, start in [] if streamed else _layout(config):
+            arrays, group_stretches = _carve(shapes, start, token_ids)
+            weights.update((f"{prefix}.{name}", array) for name, array in arrays.items())
+            stretches += group_stretches
         _draw(config.seed, stretches)
         net = cls(config, weights)
         net.token_ids = token_ids
-        if streamed:
-            net.layer_offsets = tuple(layer_offsets)
         return net
-
-
-def _layer_shapes(hidden: int, inter: int) -> list[tuple[str, tuple[int, ...]]]:
-    """(name within the layer, shape) of one encoder layer's arrays, in creation order."""
-    shapes = []
-    for proj in ("query", "key", "value", "output"):
-        shapes += [
-            (f"attention.{proj}.weight", (hidden, hidden)),
-            (f"attention.{proj}.bias", (hidden,)),
-        ]
-    return shapes + [
-        ("attention_norm.scale", (hidden,)),
-        ("attention_norm.shift", (hidden,)),
-        ("intermediate.weight", (hidden, inter)),
-        ("intermediate.bias", (inter,)),
-        ("projection.weight", (inter, hidden)),
-        ("projection.bias", (hidden,)),
-        ("output_norm.scale", (hidden,)),
-        ("output_norm.shift", (hidden,)),
-    ]
 
 
 def _size(shapes) -> int:
@@ -345,14 +318,14 @@ def _walk(shapes, start: int) -> list[tuple[str, tuple[int, ...], int]]:
 
 def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, ...]]], int]]:
     """(name prefix, [(name, shape)], stream offset) of each group of weight arrays in
-    creation order: the embedding, each encoder layer, then the pooler.
+    creation order: the embedding, each encoder layer's attention half then its
+    feed-forward half (both under the layer's prefix), then the pooler.
 
     A group's arrays lie end to end in the stream from its offset (see _walk),
-    with the token table at its full vocab x hidden shape. build walks every
-    group; forward's layer draw walks _layer_shapes from a layer's offset, and
-    count_instantiated_params sizes the layers it leaves to that draw.
+    with the token table at its full vocab x hidden shape. build and _groups
+    carve every group, and count_instantiated_params sizes a streamed net's.
     """
-    hidden = config.arch.hidden
+    hidden, inter = config.arch.hidden, config.arch.intermediate
     embedding = [
         ("token_table", (config.emb.vocab, hidden)),
         ("position_table", (config.emb.typepos, hidden)),
@@ -360,12 +333,45 @@ def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, 
         ("norm.scale", (hidden,)),
         ("norm.shift", (hidden,)),
     ]
-    layer = _layer_shapes(hidden, config.arch.intermediate)
+    attention_half = [
+        (f"attention.{proj}.{part}", (hidden, hidden) if part == "weight" else (hidden,))
+        for proj in ("query", "key", "value", "output") for part in ("weight", "bias")
+    ] + [("attention_norm.scale", (hidden,)), ("attention_norm.shift", (hidden,))]
+    feed_forward_half = [
+        ("intermediate.weight", (hidden, inter)),
+        ("intermediate.bias", (inter,)),
+        ("projection.weight", (inter, hidden)),
+        ("projection.bias", (hidden,)),
+        ("output_norm.scale", (hidden,)),
+        ("output_norm.shift", (hidden,)),
+    ]
+    halves = [attention_half, feed_forward_half]
     groups = [("embedding", embedding)]
-    groups += [(f"encoder.{index}", layer) for index in range(config.arch.depth)]
+    groups += [(f"encoder.{index}", half) for index in range(config.arch.depth) for half in halves]
     groups.append(("pooler", [("weight", (hidden, hidden)), ("bias", (hidden,))]))
     starts = itertools.accumulate((_size(shapes) for _, shapes in groups), initial=0)
     return [(prefix, shapes, start) for (prefix, shapes), start in zip(groups, starts)]
+
+
+def _carve(shapes, start: int, token_ids, flat=None):
+    """One group's arrays, by name within the group, and the (stream offset, flat
+    view) stretches that _draw fills them from. Each array is fresh or, with a
+    flat buffer given, the next stretch of it. With token_ids, the token table
+    holds their rows only, row r the stretch at r * hidden of the table's span.
+    """
+    arrays, stretches, used = {}, [], 0
+    for name, shape, offset in _walk(shapes, start):
+        partial = name == "token_table" and token_ids is not None
+        if partial:
+            shape = (token_ids.size, shape[1])
+        size = math.prod(shape)
+        array = np.empty(shape) if flat is None else flat[used : used + size].reshape(shape)
+        arrays[name], used = array, used + size
+        if partial:
+            stretches += [(offset + r * shape[1], row) for r, row in zip(token_ids.tolist(), array)]
+        else:
+            stretches.append((offset, array.reshape(-1)))
+    return arrays, stretches
 
 
 def _draw(seed: int, stretches) -> None:
@@ -406,15 +412,14 @@ def count_instantiated_params(net: ToyNet) -> int:
 
     A net that holds only some token rows counts its table at the full
     vocab x hidden shape, as the closed form does, and a streamed net counts
-    every encoder layer that forward draws.
+    every group of _layout that forward draws.
     """
     cfg = net.config
+    if not net.weights:
+        return sum(_size(shapes) for _, shapes, _ in _layout(cfg))
     total = sum(array.size for array in net.weights.values())
     if net.token_ids is not None:
         total += (cfg.emb.vocab - net.token_ids.size) * cfg.arch.hidden
-    if net.layer_offsets is not None:
-        layer = _layer_shapes(cfg.arch.hidden, cfg.arch.intermediate)
-        total += len(net.layer_offsets) * _size(layer)
     return int(total)
 
 
@@ -459,11 +464,12 @@ def _held_rows(token_ids: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     return np.searchsorted(token_ids, tokens)
 
 
-def _encoder_block(x, weights, heads: int, eps: float, stats):
-    # weights: one layer's arrays, by their names within the layer. One working
-    # name, rebound at each step, so every activation is freed once the next
-    # step has read it; the in-place adds are the same np.add calls on the same
-    # operands as the expression form, and each norm writes over its input.
+def _attention_block(x, weights, heads: int, eps: float, stats):
+    """An encoder layer's attention half, from its arrays by name within the layer:
+    attention, the output projection plus x, then the first layer_norm over it.
+    One working name, rebound at each step, frees every activation once the next
+    step has read it; the in-place adds are the expression form's np.add calls.
+    """
     h = attention(
         x,
         (weights["attention.query.weight"], weights["attention.query.bias"]),
@@ -475,36 +481,46 @@ def _encoder_block(x, weights, heads: int, eps: float, stats):
     h = h @ weights["attention.output.weight"]
     h += weights["attention.output.bias"]
     h += x
-    mixed = layer_norm(
-        h, weights["attention_norm.scale"], weights["attention_norm.shift"], eps, out=h
-    )
-    h = mixed @ weights["intermediate.weight"]
+    scale, shift = weights["attention_norm.scale"], weights["attention_norm.shift"]
+    return layer_norm(h, scale, shift, eps, out=h)
+
+
+def _encoder_block(x, weights, eps: float):
+    """An encoder layer's feed-forward half, as _attention_block runs it: widen,
+    gelu, narrow plus x, then the second layer_norm. perfbench's tracer patches
+    this name."""
+    h = x @ weights["intermediate.weight"]
     h += weights["intermediate.bias"]
     h = gelu(h, out=h)
     h = h @ weights["projection.weight"]
     h += weights["projection.bias"]
-    h += mixed
+    h += x
     return layer_norm(h, weights["output_norm.scale"], weights["output_norm.shift"], eps, out=h)
 
 
-def _layers(net: ToyNet):
-    """Each encoder layer's arrays, by their names within the layer, as forward reaches it.
+def _groups(net: ToyNet):
+    """Each group of _layout's arrays, by name within the group, in stream order.
 
-    A fully built net lends its own. A streamed net's layer is drawn at its
-    stream offset into one set of buffers that this generator allocates once
-    and refills for every layer, so one layer is held at a time and the net
+    A fully built net lends its own. A streamed net's groups are drawn in turn
+    into views of one flat buffer, sized for the largest group (the token table
+    at the rows held), that this generator allocates once and refills; so one
+    group is held at a time, each forward call has its own buffer and the net
     itself is never written.
     """
-    cfg = net.config
-    shapes = _layer_shapes(cfg.arch.hidden, cfg.arch.intermediate)
-    if net.layer_offsets is None:
-        for layer in range(cfg.arch.depth):
-            yield {name: net.weights[f"encoder.{layer}.{name}"] for name, _ in shapes}
+    cfg, ids = net.config, net.token_ids
+    layout = _layout(cfg)
+    if net.weights:
+        for prefix, shapes, _ in layout:
+            yield {name: net.weights[f"{prefix}.{name}"] for name, _ in shapes}
         return
-    buffers = {name: np.empty(shape) for name, shape in shapes}
-    for start in net.layer_offsets:
-        _draw(cfg.seed, [(at, buffers[name].reshape(-1)) for name, _, at in _walk(shapes, start)])
-        yield buffers
+    sizes = [_size(shapes) for _, shapes, _ in layout]
+    if ids is not None:  # the embedding comes first
+        sizes[0] -= (cfg.emb.vocab - ids.size) * cfg.arch.hidden
+    flat = np.empty(max(sizes))
+    for _, shapes, start in layout:
+        arrays, stretches = _carve(shapes, start, ids, flat)
+        _draw(cfg.seed, stretches)
+        yield arrays
 
 
 def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarray:
@@ -515,33 +531,35 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
     input are bitwise identical.
     """
     cfg = net.config
-    weights = net.weights
+    eps = cfg.layernorm_eps
     tokens = check_tokens(tokens, cfg.emb)
     rows = tokens if net.token_ids is None else _held_rows(net.token_ids, tokens)
 
-    # Layer-major: every sequence passes layer l before any passes layer l+1,
-    # each kept in its own output row between layers. Every step works per
-    # sequence or per row, so the bits match the whole-batch pipeline, only
-    # the output grows with the batch and only one layer need be held.
-    # Position indices run 0..seq-1 and all type indices are 0.
+    # Group-major: every sequence passes a group of weights before any passes
+    # the next, each kept in its own output row between groups. Every step
+    # works per sequence or per row, so the bits match the whole-batch
+    # pipeline, only the output grows with the batch and only one group need
+    # be held. Position indices run 0..seq-1 and all type indices are 0.
     batch, seq = tokens.shape
     out = np.empty((batch, seq, cfg.arch.hidden))
+    groups = _groups(net)
+    embedding = next(groups)
     for ids, row in zip(rows, out):
-        x = (
-            weights["embedding.token_table"][ids]
-            + weights["embedding.position_table"][:seq]
-            + weights["embedding.type_table"][0]
-        )
-        row[...] = layer_norm(
-            x, weights["embedding.norm.scale"], weights["embedding.norm.shift"], cfg.layernorm_eps
-        )
-    for layer in _layers(net):
+        x = embedding["token_table"][ids] + embedding["position_table"][:seq]
+        x += embedding["type_table"][0]
+        row[...] = layer_norm(x, embedding["norm.scale"], embedding["norm.shift"], eps)
+    for _ in range(cfg.arch.depth):
+        half = next(groups)
         for row in out:
-            row[...] = _encoder_block(row, layer, cfg.arch.heads, cfg.layernorm_eps, stats)
+            row[...] = _attention_block(row, half, cfg.arch.heads, eps, stats)
+        half = next(groups)
+        for row in out:
+            row[...] = _encoder_block(row, half, eps)
+    pooler = next(groups)
     pooled = np.empty((seq, cfg.arch.hidden))
     for row in out:
-        np.matmul(row, weights["pooler.weight"], out=pooled)
-        pooled += weights["pooler.bias"]
+        np.matmul(row, pooler["weight"], out=pooled)
+        pooled += pooler["bias"]
         np.tanh(pooled, out=row)
     return out
 

@@ -502,6 +502,17 @@ class TestOutBuffers:
             tracemalloc.stop()
         assert peak < x.nbytes / 8 + np.getbufsize() * x.itemsize
 
+    def test_layer_norm_in_place_squares_into_a_small_scratch(self):
+        # Squaring the whole centred input would take a copy of x: 3 MiB here.
+        x = np.random.default_rng(15).normal(size=(512, 768))
+        tracemalloc.start()
+        try:
+            layer_norm(x, np.ones(768), np.zeros(768), out=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 8
+
 
 def sequential_weights(net: ToyNet) -> dict[str, np.ndarray]:
     """The reference draw: one default_rng(seed).uniform call per array, in creation order."""
@@ -809,13 +820,10 @@ class TestDrawnTokenRows:
 
 
 def weight_bytes(net: ToyNet) -> bytes:
-    """Every weight's bytes in creation order; a streamed net's layers as forward draws them."""
-    if net.layer_offsets is None:
+    """Every weight's bytes in creation order; a streamed net's groups as forward draws them."""
+    if net.weights:
         return b"".join(array.tobytes() for array in net.weights.values())
-    held = {part: [a.tobytes() for k, a in net.weights.items() if k.startswith(part)]
-            for part in ("embedding.", "pooler.")}
-    layers = [array.tobytes() for layer in toynet._layers(net) for array in layer.values()]
-    return b"".join(held["embedding."] + layers + held["pooler."])
+    return b"".join(array.tobytes() for group in toynet._groups(net) for array in group.values())
 
 
 @st.composite
@@ -857,7 +865,7 @@ class TestStreamedLayers:
     def test_count_is_the_closed_form(self, tokens):
         cfg = ToyNetConfig(arch=ArchParams(4, 2, 8, 16), emb=SMALL.emb)
         net = ToyNet.build(cfg, tokens=tokens, streamed=True)
-        assert len(net.layer_offsets) == 4
+        assert net.weights == {}
         assert count_instantiated_params(net) == param_count(cfg.arch, cfg.emb)
 
     def test_forward_holds_one_layer_at_a_time(self):
@@ -878,6 +886,45 @@ class TestStreamedLayers:
                 tracemalloc.stop()
         assert peaks[2] > 12_704 * 8
         assert peaks[6] - peaks[2] <= 8192
+
+    @pytest.mark.parametrize("arch", [ArchParams(2, 2, 64, 256), ArchParams(2, 2, 64, 64)],
+                             ids=["feed_forward_larger", "attention_larger"])
+    def test_forward_holds_one_group_not_a_layer(self, arch):
+        # The bytes of a layer's attention and feed-forward halves; the embedding
+        # and pooler groups are smaller than either.
+        hidden, inter = arch.hidden, arch.intermediate
+        halves = [(4 * (hidden + 1) * hidden + 2 * hidden) * 8,
+                  (2 * hidden * inter + inter + 3 * hidden) * 8]
+        cfg = ToyNetConfig(arch=arch, emb=EmbeddingConfig(50, 8, 8, 1))
+        tokens = np.random.default_rng(8).integers(0, 50, size=(2, 8))
+        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        tracemalloc.start()
+        try:
+            forward(net, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(halves) <= peak < sum(halves)
+
+    def test_threads_share_one_net(self, eight_workers):
+        cfg = ToyNetConfig(arch=ArchParams(2, 2, 16, 64), emb=EmbeddingConfig(60, 12, 12, 1))
+        tokens = np.random.default_rng(9).integers(0, 60, size=(3, 12))
+        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        alone = forward(net, tokens).tobytes()
+        outputs, start = [], threading.Barrier(2)
+
+        def run():
+            start.wait(timeout=30)
+            for _ in range(20):
+                outputs.append(forward(net, tokens).tobytes())
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outputs == [alone] * 40
 
     def test_weight_digest_pinned(self):
         # sha256 of every weight in creation order. The PCG64 stream and u - 0.5
