@@ -10,7 +10,6 @@ determines the weights.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 import os
@@ -35,7 +34,7 @@ _FILL_CHUNK = 1 << 20
 
 
 def _workers() -> int:
-    """Threads for the weight fill and gelu: one per CPU this process may run on."""
+    """Threads for the weight fill: one per CPU this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -45,19 +44,17 @@ def _run_parts(fn, parts) -> None:
     """Call fn(part) for every part, on up to one thread per CPU plus this one.
 
     This thread runs the first part while the pool runs the rest; a failure
-    is raised here. Each pool part runs in its own copy of this thread's
-    context, so numpy's errstate, a context variable, holds there too. fn must
-    call numpy only, never a kernel of this module: the tracer in
-    perfbench/spans.py patches those names and is not thread-safe. numpy
-    releases the GIL in its ufuncs and generators, so the threads overlap.
-    With one CPU or one part, the parts run in order in this thread.
+    is raised here. fn must call numpy only, never a kernel of this module:
+    the tracer in perfbench/spans.py patches those names and is not
+    thread-safe. numpy releases the GIL in its generators, so the threads
+    overlap. With one CPU or one part, the parts run in order in this thread.
     """
     if _workers() <= 1 or len(parts) <= 1:
         for part in parts:
             fn(part)
         return
     with ThreadPoolExecutor(min(_workers(), len(parts) - 1)) as pool:
-        rest = [pool.submit(contextvars.copy_context().run, fn, part) for part in parts[1:]]
+        rest = [pool.submit(fn, part) for part in parts[1:]]
         fn(parts[0])
         for future in rest:  # reading every result re-raises a worker's exception
             future.result()
@@ -86,44 +83,40 @@ def gelu(x, out=None):
     The cube is x * x * x: two correctly rounded multiplies, whose bits no
     SIMD width changes, where np.power falls back to a slow per-lane loop for
     negative bases. A float array with at least one axis is computed over
-    blocks of whole rows of the last axis, with the same ufuncs on the same
-    operands as the expression, so the result is bitwise equal and only one
-    block's cube is held per thread. A NaN input is the one exception: its
-    lane holds x's NaN or tanh's, as numpy's multiply picks either NaN operand
-    by the lane's place in its SIMD loop. The blocks are dealt out to one thread
-    per CPU and the calling thread, each with its own scratch.
+    blocks of whole rows of the last axis, in order on the calling thread,
+    with the same ufuncs on the same operands as the expression, so the
+    result is bitwise equal and only one block's cube is held. A NaN input is
+    the one exception: its lane holds x's NaN or tanh's, as numpy's multiply
+    picks either NaN operand by the lane's place in its SIMD loop.
     `out` is as _check_out says. Each block of `x` is read before the same
-    block of `out` is written, so `gelu(x, out=x)` is safe.
+    block of `out` is written, so `gelu(x, out=x)` is safe; any other `out`
+    that overlaps `x` is written from a copy of `x`.
     """
     if not _check_out(x, out):
         return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + GELU_CUBIC * (x * x * x))))
     if out is None:
         out = np.empty(x.shape, dtype=x.dtype)
+    elif out is not x and np.may_share_memory(x, out):
+        x = x.copy()
     width = x.shape[-1]
     rows = math.prod(x.shape[:-1])
     x_rows = x.reshape(rows, width)
     out_rows = out.reshape(rows, width)
     step = max(1, _GELU_BLOCK // max(width, 1))
-    starts = range(0, rows, step)
-
-    def run(part_starts):
-        scratch = np.empty((min(step, rows), width), dtype=x.dtype)
-        for start in part_starts:
-            xb = x_rows[start : start + step]
-            ob = out_rows[start : start + step]
-            inner = scratch[: len(xb)]
-            np.multiply(xb, xb, out=inner)
-            inner *= xb
-            inner *= GELU_CUBIC
-            inner += xb
-            inner *= _GELU_SCALE
-            np.tanh(inner, out=inner)
-            inner += 1.0
-            np.multiply(0.5, xb, out=ob)
-            ob *= inner
-
-    workers = min(_workers() + 1, len(starts))
-    _run_parts(run, [starts[i::workers] for i in range(workers)])
+    scratch = np.empty((min(step, rows), width), dtype=x.dtype)
+    for start in range(0, rows, step):
+        xb = x_rows[start : start + step]
+        ob = out_rows[start : start + step]
+        inner = scratch[: len(xb)]
+        np.multiply(xb, xb, out=inner)
+        inner *= xb
+        inner *= GELU_CUBIC
+        inner += xb
+        inner *= _GELU_SCALE
+        np.tanh(inner, out=inner)
+        inner += 1.0
+        np.multiply(0.5, xb, out=ob)
+        ob *= inner
     return out
 
 

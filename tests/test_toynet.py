@@ -490,6 +490,17 @@ class TestOutBuffers:
             assert result.dtype == np.float32
             assert np.allclose(result, kernel(x.astype(np.float64)), rtol=1e-5, atol=1e-5)
 
+    @pytest.mark.parametrize("shift", [1, -1], ids=["out_before_x", "out_after_x"])
+    def test_gelu_out_overlapping_x_gives_the_fresh_bits(self, shift):
+        # One row per block: a block written straight into out may overwrite a
+        # row of x that a later block, or another thread, has still to read.
+        buf = np.random.default_rng(17).normal(size=(41, 2**14 + 1))
+        x, out = (buf[1:], buf[:-1]) if shift == 1 else (buf[:-1], buf[1:])
+        cubic, scale = 0.044715, math.sqrt(2.0 / math.pi)
+        expected = 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * (x * x * x))))
+        assert gelu(x, out=out) is out
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
     def test_softmax_in_place_allocates_only_the_row_reductions(self):
         # Beside the row maxima and sums, numpy's ufunc iterator may take one buffer of
         # getbufsize() elements for the broadcast subtract and divide; a copy of x is 512 KiB.
@@ -650,6 +661,19 @@ class TestThreadedKernels:
                 gelu(x)
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             gelu(x)
+
+    def test_gelu_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("gelu started a thread pool")
+
+        monkeypatch.setattr(toynet, "_workers", lambda: 8)
+        monkeypatch.setattr(toynet, "ThreadPoolExecutor", no_pool)
+        cubic, scale = 0.044715, math.sqrt(2.0 / math.pi)
+        x = np.random.default_rng(18).normal(size=(300, 1000)) * 4
+        expected = 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * (x * x * x))))
+        assert np.array_equal(gelu(x).view(np.uint64), expected.view(np.uint64))
+        assert gelu(x, out=x) is x
+        assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
