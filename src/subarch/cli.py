@@ -283,6 +283,11 @@ def _byte_size(n_bytes: int) -> str:
     return f"{n_bytes:,} bytes ({n_bytes / 2**30:,.1f} GiB)"
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _cmd_toy_forward(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -292,6 +297,7 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
         check_tokens,
         count_instantiated_params,
         forward_with_stats,
+        streamed_forward_bytes,
     )
 
     settings = _settings(args)
@@ -304,25 +310,33 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
         layernorm_eps=settings["layernorm_eps"],
         seed=settings["seed"],
     )
-    # A bad token fails before any weight is drawn. The net draws only the
-    # token-table rows read, so its weights are the count less the rows left out;
-    # it is streamed, so forward holds one group of them at a time: the embedding,
-    # half an encoder layer or the pooler.
+    # A bad token fails before any weight is drawn.
     tokens = check_tokens(_read_tokens(args.tokens, emb.seq), emb)
-    rows_left_out = emb.vocab - np.unique(tokens).size
-    weight_bytes = (param_count(arch, emb) - rows_left_out * arch.hidden) * 8
-    does_not_fit = (
-        f"toy network {arch} does not fit in memory: its float64 weights alone"
-        f" take {_byte_size(weight_bytes)}"
-    )
-    # Weights beyond physical memory fail before the first allocation, not after the last.
-    if weight_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ConfigError(does_not_fit)
+    does_not_fit = f"toy network {arch} does not fit in memory"
+    net = None
+
+    def weight_size() -> str:
+        # The net draws only the token-table rows read: the count less the rows left out.
+        held = np.unique(tokens).size if net is None else net.token_ids.size
+        return _byte_size((param_count(arch, emb) - (emb.vocab - held) * arch.hidden) * 8)
+
     try:
         net = ToyNet.build(net_config, tokens=tokens, streamed=True)
+        # The streamed forward holds one group of weights at a time: the embedding,
+        # half an encoder layer or the pooler. A forward that would hold more than
+        # physical memory fails before its first allocation, not after its last.
+        held_bytes = streamed_forward_bytes(net_config, *tokens.shape, net.token_ids.size)
+        physical = _physical_memory()
+        if held_bytes > physical:
+            raise ConfigError(
+                f"{does_not_fit}: a streamed forward holds {_byte_size(held_bytes)} at once,"
+                f" more than the {_byte_size(physical)} of physical memory (its float64"
+                f" weights take {weight_size()} in all)"
+            )
         out, stats = forward_with_stats(net, tokens)
     except (MemoryError, ValueError) as exc:  # ValueError: numpy refuses a size past its limits
-        raise ConfigError(does_not_fit) from exc
+        weights = f"its float64 weights alone take {weight_size()}"
+        raise ConfigError(f"{does_not_fit}: {weights}") from exc
     doc = {
         "output_shape": list(out.shape),
         "min": float(out.min()),

@@ -33,6 +33,11 @@ _GELU_BLOCK = 1 << 15
 _FILL_CHUNK = 1 << 20
 
 
+def _block_rows(width: int) -> int:
+    """Rows in each block of gelu and layer_norm over rows of the given width."""
+    return max(1, _GELU_BLOCK // max(width, 1))
+
+
 def _workers() -> int:
     """Threads for the weight fill: one per CPU this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -102,7 +107,7 @@ def gelu(x, out=None):
     rows = math.prod(x.shape[:-1])
     x_rows = x.reshape(rows, width)
     out_rows = out.reshape(rows, width)
-    step = max(1, _GELU_BLOCK // max(width, 1))
+    step = _block_rows(width)
     scratch = np.empty((min(step, rows), width), dtype=x.dtype)
     for start in range(0, rows, step):
         xb = x_rows[start : start + step]
@@ -160,7 +165,7 @@ def layer_norm(x, scale, shift, eps: float = 1e-5, out=None):
     width = x.shape[-1]
     rows = out.reshape(-1, width)
     var = np.empty(len(rows), dtype=out.dtype)
-    step = max(1, _GELU_BLOCK // width)
+    step = _block_rows(width)
     scratch = np.empty((min(step, len(rows)), width), dtype=out.dtype)
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
@@ -282,18 +287,19 @@ class ToyNet:
 
         streamed=True draws nothing and holds no array, only the token ids:
         forward draws each group of _layout, with the same bits, when it
-        reaches it.
+        reaches it, and streamed_forward_bytes bounds what it holds at once.
         """
         token_ids = None
         if tokens is not None:  # a fresh array the caller cannot change
             token_ids = np.unique(check_tokens(tokens, config.emb))
             token_ids.flags.writeable = False
         weights, stretches = {}, []  # arrays by name; (stream offset, flat view) to fill
-        for prefix, shapes, start in [] if streamed else _layout(config):
-            arrays, group_stretches = _carve(shapes, start, token_ids)
-            weights.update((f"{prefix}.{name}", array) for name, array in arrays.items())
-            stretches += group_stretches
-        _draw(config.seed, stretches)
+        if not streamed:
+            for prefix, shapes, start in _layout(config):
+                arrays, group_stretches = _carve(shapes, start, token_ids)
+                weights.update((f"{prefix}.{name}", array) for name, array in arrays.items())
+                stretches += group_stretches
+            _draw(config.seed, stretches)
         net = cls(config, weights)
         net.token_ids = token_ids
         return net
@@ -309,15 +315,10 @@ def _walk(shapes, start: int) -> list[tuple[str, tuple[int, ...], int]]:
     return [(name, shape, offset) for (name, shape), offset in zip(shapes, offsets)]
 
 
-def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, ...]]], int]]:
-    """(name prefix, [(name, shape)], stream offset) of each group of weight arrays in
-    creation order: the embedding, each encoder layer's attention half then its
-    feed-forward half (both under the layer's prefix), then the pooler.
-
-    A group's arrays lie end to end in the stream from its offset (see _walk),
-    with the token table at its full vocab x hidden shape. build and _groups
-    carve every group, and count_instantiated_params sizes a streamed net's.
-    """
+def _shapes(config: ToyNetConfig) -> list[list[tuple[str, tuple[int, ...]]]]:
+    """[(name, shape)] of each kind of group of weight arrays, in stream order: the
+    embedding (its token table at the full vocab x hidden shape), an encoder
+    layer's attention half, its feed-forward half and the pooler."""
     hidden, inter = config.arch.hidden, config.arch.intermediate
     embedding = [
         ("token_table", (config.emb.vocab, hidden)),
@@ -338,12 +339,33 @@ def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, 
         ("output_norm.scale", (hidden,)),
         ("output_norm.shift", (hidden,)),
     ]
-    halves = [attention_half, feed_forward_half]
+    pooler = [("weight", (hidden, hidden)), ("bias", (hidden,))]
+    return [embedding, attention_half, feed_forward_half, pooler]
+
+
+def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, ...]]], int]]:
+    """(name prefix, [(name, shape)], stream offset) of each group of weight arrays in
+    creation order: the embedding, each encoder layer's attention half then its
+    feed-forward half (both under the layer's prefix), then the pooler, as _shapes
+    gives them.
+
+    A group's arrays lie end to end in the stream from its offset (see _walk).
+    build and _groups carve every group, and count_instantiated_params sizes a
+    streamed net's.
+    """
+    embedding, *halves, pooler = _shapes(config)
     groups = [("embedding", embedding)]
     groups += [(f"encoder.{index}", half) for index in range(config.arch.depth) for half in halves]
-    groups.append(("pooler", [("weight", (hidden, hidden)), ("bias", (hidden,))]))
+    groups.append(("pooler", pooler))
     starts = itertools.accumulate((_size(shapes) for _, shapes in groups), initial=0)
     return [(prefix, shapes, start) for (prefix, shapes), start in zip(groups, starts)]
+
+
+def _largest_group(config: ToyNetConfig, rows_held: int) -> int:
+    """Elements of the largest group of _layout, with the token table at rows_held rows."""
+    embedding, *rest = _shapes(config)
+    rows_left_out = config.emb.vocab - rows_held
+    return max(_size(embedding) - rows_left_out * config.arch.hidden, *map(_size, rest))
 
 
 def _carve(shapes, start: int, token_ids, flat=None):
@@ -398,6 +420,62 @@ def _draw(seed: int, stretches) -> None:
             place = at + piece.size
 
     _run_parts(fill, chunks)
+
+
+# Bytes of the Python objects a streamed forward makes beside its arrays: those of
+# one call (the group dicts and views, the generator, the draw's lists, numpy's
+# iterators), those of each group in _layout's list, and those of each token-table
+# row held (its own draw stretch, and the tuples the interpreter keeps for reuse
+# once it is freed). Measured on CPython 3.11 with numpy 2.4 as about 9,000, 110
+# and 420 bytes.
+_CALL_OBJECT_BYTES = 16_384
+_LAYOUT_GROUP_BYTES = 128
+_HELD_ROW_BYTES = 448
+
+
+def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int, rows_held: int) -> int:
+    """The most bytes a forward of a streamed net holds at once, over a (batch, seq)
+    token matrix, with rows_held token-table rows. It is the sum of
+    - the flat buffer, sized for the largest group of _layout (_largest_group);
+    - the (batch, seq, hidden) output;
+    - the largest working set of one step, each with the scratch it holds:
+      - the embedding: the lookup of each id's held row (np.isin and
+        np.searchsorted, at most eight int64 per id), then one sequence's
+        gathered token rows or its layer_norm;
+      - an attention half: q, k, v, the attended output, one seq x seq score
+        block with softmax's row reductions and buffer (the output projection
+        comes once q, k and v are freed), or its layer_norm;
+      - a feed-forward half: the widened activation with its bias add's buffer
+        or gelu's scratch, then with the narrowed activation, or its layer_norm;
+      where a layer_norm holds, beside its input (for the embedding, a row of
+      the output), its block scratch, three row statistics and a buffer. The
+      scratches are bounded: gelu's and
+      layer_norm's by _GELU_BLOCK elements or one row, and the buffer that
+      numpy's ufunc iterator takes for an in-place broadcast (a bias add, a
+      row-wise subtract or divide) by np.getbufsize() elements;
+    - the Python objects: of one call, of each token-table row held, and of each
+      of _layout's 2 * depth + 2 groups, which forward lists before its first draw.
+
+    Exact int arithmetic on the shapes of _shapes, so its cost does not grow
+    with depth and no size overflows; a test witnesses it with tracemalloc.
+    """
+    hidden, inter = config.arch.hidden, config.arch.intermediate
+    buffer = np.getbufsize()
+    ids, sequence, widened = batch * seq, seq * hidden, seq * inter
+    norm = min(seq, _block_rows(hidden)) * hidden + 3 * seq + min(buffer, sequence)
+    steps = (
+        8 * ids + max(sequence, norm),
+        max(4 * sequence + seq * seq + 2 * seq + min(buffer, seq * seq), sequence + norm),
+        max(widened + max(min(buffer, widened), min(seq, _block_rows(inter)) * inter, sequence),
+            sequence + norm),
+    )
+    elements = _largest_group(config, rows_held) + ids * hidden + max(steps)
+    objects = (
+        _CALL_OBJECT_BYTES
+        + _HELD_ROW_BYTES * rows_held
+        + _LAYOUT_GROUP_BYTES * (2 * config.arch.depth + 2)
+    )
+    return 8 * elements + objects
 
 
 def count_instantiated_params(net: ToyNet) -> int:
@@ -506,10 +584,7 @@ def _groups(net: ToyNet):
         for prefix, shapes, _ in layout:
             yield {name: net.weights[f"{prefix}.{name}"] for name, _ in shapes}
         return
-    sizes = [_size(shapes) for _, shapes, _ in layout]
-    if ids is not None:  # the embedding comes first
-        sizes[0] -= (cfg.emb.vocab - ids.size) * cfg.arch.hidden
-    flat = np.empty(max(sizes))
+    flat = np.empty(_largest_group(cfg, cfg.emb.vocab if ids is None else ids.size))
     for _, shapes, start in layout:
         arrays, stretches = _carve(shapes, start, ids, flat)
         _draw(cfg.seed, stretches)
@@ -532,15 +607,17 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
     # the next, each kept in its own output row between groups. Every step
     # works per sequence or per row, so the bits match the whole-batch
     # pipeline, only the output grows with the batch and only one group need
-    # be held. Position indices run 0..seq-1 and all type indices are 0.
+    # be held. Nothing but the output and the flat buffer outlives its group.
+    # Position indices run 0..seq-1 and all type indices are 0.
     batch, seq = tokens.shape
     out = np.empty((batch, seq, cfg.arch.hidden))
     groups = _groups(net)
     embedding = next(groups)
-    for ids, row in zip(rows, out):
-        x = embedding["token_table"][ids] + embedding["position_table"][:seq]
-        x += embedding["type_table"][0]
-        row[...] = layer_norm(x, embedding["norm.scale"], embedding["norm.shift"], eps)
+    for ids, row in zip(rows, out):  # the token rows are the one array allocated here
+        np.add(embedding["token_table"][ids], embedding["position_table"][:seq], out=row)
+        row += embedding["type_table"][0]
+        layer_norm(row, embedding["norm.scale"], embedding["norm.shift"], eps, out=row)
+    del rows  # each id's held row: only the embedding reads it
     for _ in range(cfg.arch.depth):
         half = next(groups)
         for row in out:

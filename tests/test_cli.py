@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BORT, GRID_AXES, ROBERTA_EMB, write_config
-from subarch import costs, toynet
+from subarch import cli, costs, toynet
 from subarch.cli import main
 from subarch.config import KNOWN_KEYS
 from subarch.space import ArchParams, EmbeddingConfig
@@ -554,6 +555,54 @@ class TestToyForward:
         assert err == (
             "config error: toy network <2,2,8,16> does not fit in memory: its float64 weights"
             " alone take 12,544 bytes (0.0 GiB)\n"
+        )
+
+
+    def test_weights_beyond_physical_memory_stream_within_it(self, tmp_path, capsys, monkeypatch):
+        # <90,16,1024,4096> has 8.5 GiB of float64 weights, but its streamed forward
+        # holds one 64 MiB feed-forward half at a time: it runs in 1 GiB. Each group
+        # is filled with a constant, not drawn, to keep the test fast.
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
+        fills = []
+
+        def constant_fill(seed, stretches):
+            fills.append(seed)
+            for _, flat in stretches:
+                flat.fill(0.25)
+
+        monkeypatch.setattr(toynet, "_draw", constant_fill)
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("\n".join(str(i) for i in range(8)) + "\n")
+        code, out, err = run_cli(
+            capsys, "toy-forward", str(tokens), "--arch", "90,16,1024,4096", "--set", "seq=8"
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["output_shape"] == [1, 8, 1024]
+        assert doc["instantiated_params"] * 8 > 8 * 2**30
+        assert len(fills) == 2 * 90 + 2
+
+    def test_a_group_beyond_physical_memory_exits_2_before_drawing(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # Each feed-forward half of <2,1,1,2**40> is 3 * 2**40 doubles (24 TiB).
+        def no_draw(seed, stretches):
+            raise AssertionError("a weight was drawn")
+
+        monkeypatch.setattr(toynet, "_draw", no_draw)
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("0\n1\n")
+        arch = ArchParams(2, 1, 1, 2**40)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "toy-forward", str(tokens), "--arch", f"2,1,1,{2**40}",
+                                 "--set", "seq=2")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        net_config = toynet.ToyNetConfig(arch=arch, emb=EmbeddingConfig(50265, 514, 2, 1))
+        held = toynet.streamed_forward_bytes(net_config, 1, 2, 2)
+        assert held > 3 * 2**40 * 8
+        assert err.startswith(
+            f"config error: toy network {arch} does not fit in memory: a streamed forward"
+            f" holds {held:,} bytes"
         )
 
 

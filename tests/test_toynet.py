@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -545,8 +545,8 @@ def eight_workers(monkeypatch):
 
 @pytest.fixture(params=[1, 8], ids=["one_worker", "eight_workers"])
 def workers(request, monkeypatch):
-    """gelu's blocks or the draw's chunks on this thread alone, or on the eight_workers
-    fixture's threads."""
+    """The draw's chunks on this thread alone, or on the eight_workers fixture's threads;
+    only the weight draw uses threads."""
     if request.param == 1:
         monkeypatch.setattr(toynet, "_workers", lambda: 1)
     else:
@@ -592,7 +592,8 @@ def stretch_lists(draw):
 
 
 class TestThreadedKernels:
-    """The weight fill and gelu, split over threads, give the sequential bits."""
+    """The weight fill, split over threads, gives the sequential bits; gelu, on the
+    calling thread alone, gives the plain expression's."""
 
     @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
     def test_build_matches_sequential_draw_in_small_chunks(self, seed, eight_workers, monkeypatch):
@@ -866,6 +867,32 @@ def streamed_cases(draw):
     return cfg, tokens, draw(st.booleans())
 
 
+@st.composite
+def memory_cases(draw):
+    """A config whose attention half or feed-forward half is the larger, as drawn, a
+    token matrix of up to 3 sequences of up to 64 ids, and whether to collect stats."""
+    heads = draw(st.integers(1, 4))
+    hidden = heads * draw(st.integers(1, 16))
+    larger = draw(st.sampled_from(["attention", "feed_forward"]))
+    inter = draw(st.integers(1, 2 * hidden) if larger == "attention"
+                 else st.integers(2 * hidden + 1, 4 * hidden))
+    seq = draw(st.integers(1, 64))
+    emb = EmbeddingConfig(draw(st.integers(1, 64)), seq + draw(st.integers(0, 3)), seq, 1)
+    arch = ArchParams(draw(st.sampled_from([2, 4])), heads, hidden, inter)
+    cfg = ToyNetConfig(arch=arch, emb=emb, seed=draw(st.sampled_from([0, 2**40 + 7])))
+    tokens = np.array(
+        draw(st.lists(st.lists(st.integers(0, emb.vocab - 1), min_size=seq, max_size=seq),
+                      min_size=1, max_size=3))
+    )
+    return cfg, tokens, draw(st.booleans())
+
+
+def memory_case(arch, batch, seq, vocab, stats):
+    """An explicit memory_cases value: ids 0, 1, ... modulo vocab."""
+    cfg = ToyNetConfig(arch=ArchParams(*arch), emb=EmbeddingConfig(vocab, seq, seq, 1))
+    return cfg, np.arange(batch * seq).reshape(batch, seq) % vocab, stats
+
+
 class TestStreamedLayers:
     """build(streamed=True) holds no encoder layer; forward draws each, bitwise as built."""
 
@@ -930,6 +957,35 @@ class TestStreamedLayers:
             tracemalloc.stop()
         assert max(halves) <= peak < sum(halves)
 
+    # Each example's bound is broken by an activation the size of one sequence
+    # (seq x hidden) held across groups: a feed-forward-larger and an attention-larger net.
+    @example(case=memory_case((2, 4, 60, 132), batch=3, seq=58, vocab=4, stats=False))
+    @example(case=memory_case((4, 4, 64, 78), batch=1, seq=54, vocab=10, stats=True))
+    @settings(max_examples=40, deadline=None)
+    @given(case=memory_cases())
+    def test_forward_peak_is_within_the_closed_form(self, case):
+        # The closed form may exceed tracemalloc's peak by one buffer of numpy's ufunc
+        # iterator, which an in-place broadcast takes only for some shapes.
+        cfg, tokens, with_stats = case
+        attention_half, feed_forward_half = (
+            sum(math.prod(shape) for _, shape in shapes) for shapes in toynet._shapes(cfg)[1:3]
+        )
+        # memory_cases draws either half as the larger: they cross at intermediate = 2 * hidden.
+        assert (feed_forward_half > attention_half) == (cfg.arch.intermediate > 2 * cfg.arch.hidden)
+        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        run = forward_with_stats if with_stats else forward
+        run(net, tokens)  # numpy's one-time caches are not the forward's
+        tracemalloc.start()
+        try:
+            run(net, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = net.token_ids.size
+        bound = toynet.streamed_forward_bytes(cfg, *tokens.shape, held)
+        assert toynet._largest_group(cfg, held) * 8 <= peak <= bound
+        assert bound - peak <= np.getbufsize() * 8
+
     def test_threads_share_one_net(self, eight_workers):
         cfg = ToyNetConfig(arch=ArchParams(2, 2, 16, 64), emb=EmbeddingConfig(60, 12, 12, 1))
         tokens = np.random.default_rng(9).integers(0, 60, size=(3, 12))
@@ -965,8 +1021,8 @@ class TestTracerContract:
     thread, once per sequence, layer and head as the trace expects."""
 
     def test_kernel_calls_and_their_thread(self, eight_workers, monkeypatch):
-        monkeypatch.setattr(toynet, "_GELU_BLOCK", 24)  # gelu's blocks go to threads
-        monkeypatch.setattr(toynet, "_FILL_CHUNK", 64)  # and so do each layer's draws
+        monkeypatch.setattr(toynet, "_GELU_BLOCK", 24)  # many gelu blocks, all on this thread
+        monkeypatch.setattr(toynet, "_FILL_CHUNK", 64)  # many draw chunks, on the pool's threads
         calls = []
 
         def counting(name, fn):
