@@ -402,16 +402,10 @@ class TestRunExtraction:
 positive = st.floats(0.5, 1e6, allow_nan=False, allow_infinity=False)
 errors = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
 scales = st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False)
-# A change of unit by a power of two is exact in binary floating point. Any other
-# factor rounds the scaled inputs before W sees them, and when the candidate's
-# metric is within a few ulps of the maximum point's that rounding is all of
-# their difference, so no evaluation of W could be invariant to it.
-exact_scales = st.integers(-6, 6).map(lambda n: 2.0**n)
 
 
 @settings(max_examples=120, deadline=None)
-@given(positive, positive, positive, positive, errors, exact_scales)
-@example(0.5000000000000001, 0.5, 0.5, 422213.0, 0.0625, 2.0**-6)
+@given(positive, positive, positive, positive, errors, scales)
 def test_w_scale_invariance(t_params, t_latency, f_params, f_latency, error, k):
     base = w_coefficient(
         MetricTriple(f_params, f_latency, error),

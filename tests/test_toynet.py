@@ -957,15 +957,21 @@ class TestStreamedLayers:
             tracemalloc.stop()
         assert max(halves) <= peak < sum(halves)
 
-    # Each example's bound is broken by an activation the size of one sequence
-    # (seq x hidden) held across groups: a feed-forward-larger and an attention-larger net.
+    # The first two examples' bound is broken by an activation the size of one
+    # sequence (seq x hidden) held across groups: a feed-forward-larger and an
+    # attention-larger net. The third's is broken by the (batch, seq) index of held
+    # rows kept across groups, which only a large batch at a small hidden size shows.
     @example(case=memory_case((2, 4, 60, 132), batch=3, seq=58, vocab=4, stats=False))
     @example(case=memory_case((4, 4, 64, 78), batch=1, seq=54, vocab=10, stats=True))
+    @example(case=memory_case((2, 1, 1, 1), batch=24, seq=128, vocab=1, stats=False))
     @settings(max_examples=40, deadline=None)
     @given(case=memory_cases())
     def test_forward_peak_is_within_the_closed_form(self, case):
         # The closed form may exceed tracemalloc's peak by one buffer of numpy's ufunc
-        # iterator, which an in-place broadcast takes only for some shapes.
+        # iterator, which an in-place broadcast takes only for some shapes. Both sides
+        # hang on the closed form's object-size constants, measured on CPython 3.11
+        # with numpy 2.4: like the forward digest pins, it is bound to that interpreter
+        # and numpy, and another may need the constants measured again.
         cfg, tokens, with_stats = case
         attention_half, feed_forward_half = (
             sum(math.prod(shape) for _, shape in shapes) for shapes in toynet._shapes(cfg)[1:3]
