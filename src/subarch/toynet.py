@@ -28,6 +28,13 @@ GELU_CUBIC = 4.4715e-2
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 # Elements per gelu or layer_norm block: whole rows of the last axis, one row at least.
 _GELU_BLOCK = 1 << 15
+# Elements of widened plus narrowed activation per feed-forward row block:
+# rows x (intermediate + hidden), one _ROW_PANEL at least (see _feed_forward_bounds).
+_FEED_FORWARD_BLOCK = 1 << 20
+# Rows per panel of a feed-forward row block, two at least. Blocks that start on
+# multiples of 16 rows gave the unsplit product's bits on every OpenBLAS x86-64
+# dgemm kernel run on one thread, where other splits did not (see the README).
+_ROW_PANEL = 16
 # Elements per weight-fill chunk (8 MiB of float64): many chunks keep the
 # threads evenly loaded, and seeding one generator per chunk costs little.
 _FILL_CHUNK = 1 << 20
@@ -36,6 +43,24 @@ _FILL_CHUNK = 1 << 20
 def _block_rows(width: int) -> int:
     """Rows in each block of gelu and layer_norm over rows of the given width."""
     return max(1, _GELU_BLOCK // max(width, 1))
+
+
+def _feed_forward_bounds(seq: int, width: int) -> list[int]:
+    """Row bounds 0, ..., seq of the blocks that forward runs a sequence's
+    feed-forward half in. A sequence within _FEED_FORWARD_BLOCK elements of the
+    given width, or within one _ROW_PANEL, is one block. Otherwise the blocks
+    are near-equal in whole panels, each within the budget (or one panel where
+    less fits), and the last takes the rest. A last block of one row joins the
+    block before it: a one-row matmul takes numpy's vector path, whose bits
+    differ from a multi-row gemm's.
+    """
+    fit = _FEED_FORWARD_BLOCK // max(width, 1)
+    if seq <= max(fit, _ROW_PANEL):
+        return [0, seq]
+    most = max(1, fit // _ROW_PANEL) * _ROW_PANEL
+    size = -(-seq // -(-seq // most))  # the fewest blocks of at most `most` rows, near-equal
+    size = -(-size // _ROW_PANEL) * _ROW_PANEL
+    return [*range(0, seq - 1, size), seq]
 
 
 def _workers() -> int:
@@ -198,6 +223,8 @@ def attention(x, query, key, value, heads: int, stats: ForwardStats | None = Non
     block at a time into one sequence-by-sequence scratch, where softmax
     turns them into probabilities in place; each block makes the same 2-D
     matmul calls, with the same strides, as a batched product over all heads.
+    Each head's context is written into that head's q columns, which its
+    scores have already read, and q is returned in x's shape.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
@@ -217,7 +244,6 @@ def attention(x, query, key, value, heads: int, stats: ForwardStats | None = Non
     q = project(query)
     k = project(key)
     v = project(value)
-    attended = np.empty_like(q)
     scores = np.empty((x.shape[-2], x.shape[-2]))
     for idx in np.ndindex(x.shape[:-2]):
         for h in range(heads):
@@ -226,8 +252,8 @@ def attention(x, query, key, value, heads: int, stats: ForwardStats | None = Non
             softmax(scores, axis=-1, out=scores)
             if stats is not None:
                 stats.record_softmax(scores)
-            np.matmul(scores, v[idx][:, h], out=attended[idx][:, h])
-    return attended.reshape(x.shape)
+            np.matmul(scores, v[idx][:, h], out=q[idx][:, h])
+    return q.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -442,11 +468,14 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int, rows_held
       - the embedding: the lookup of each id's held row (np.isin and
         np.searchsorted, at most eight int64 per id), then one sequence's
         gathered token rows or its layer_norm;
-      - an attention half: q, k, v, the attended output, one seq x seq score
-        block with softmax's row reductions and buffer (the output projection
-        comes once q, k and v are freed), or its layer_norm;
-      - a feed-forward half: the widened activation with its bias add's buffer
-        or gelu's scratch, then with the narrowed activation, or its layer_norm;
+      - an attention half: q, k, v and one seq x seq score block with softmax's
+        row reductions and buffer (each head's context goes into its q columns,
+        and the output projection comes once k and v are freed), or its
+        layer_norm;
+      - a feed-forward half, over the largest of _feed_forward_bounds' row
+        blocks of a sequence: the block's widened activation with its bias
+        add's buffer or gelu's scratch, then with its narrowed activation, or
+        its layer_norm;
       where a layer_norm holds, beside its input (for the embedding, a row of
       the output), its block scratch, three row statistics and a buffer. The
       scratches are bounded: gelu's and
@@ -463,13 +492,19 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int, rows_held
     """
     hidden, inter = config.arch.hidden, config.arch.intermediate
     buffer = np.getbufsize()
-    ids, sequence, widened = batch * seq, seq * hidden, seq * inter
-    norm = min(seq, _block_rows(hidden)) * hidden + 3 * seq + min(buffer, sequence)
+    ids, sequence = batch * seq, seq * hidden
+    bounds = _feed_forward_bounds(seq, inter + hidden)
+    block = max(stop - start for start, stop in itertools.pairwise(bounds))
+    widened, narrowed = block * inter, block * hidden
+
+    def norm(rows: int) -> int:
+        return min(rows, _block_rows(hidden)) * hidden + 3 * rows + min(buffer, rows * hidden)
+
     steps = (
-        8 * ids + max(sequence, norm),
-        max(4 * sequence + seq * seq + 2 * seq + min(buffer, seq * seq), sequence + norm),
-        max(widened + max(min(buffer, widened), min(seq, _block_rows(inter)) * inter, sequence),
-            sequence + norm),
+        8 * ids + max(sequence, norm(seq)),
+        max(3 * sequence + seq * seq + 2 * seq + min(buffer, seq * seq), sequence + norm(seq)),
+        max(widened + max(min(buffer, widened), min(block, _block_rows(inter)) * inter, narrowed),
+            narrowed + norm(block)),
     )
     elements = _largest_group(config, rows_held) + ids * hidden + max(steps)
     objects = (
@@ -607,11 +642,15 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
 
     # Group-major: every sequence passes a group of weights before any passes
     # the next, each kept in its own output row between groups. Every step
-    # works per sequence or per row, so the bits match the whole-batch
-    # pipeline, only the output grows with the batch and only one group need
-    # be held. Nothing but the output and the flat buffer outlives its group.
+    # works per sequence, per row or, in the feed-forward half, per block of
+    # _feed_forward_bounds' rows of a sequence, so the bits match the
+    # whole-batch pipeline wherever a block keeps a gemm's bits (see
+    # _ROW_PANEL), only the output grows with the batch and only one group
+    # need be held. Nothing but the output and the flat buffer outlives its
+    # group.
     # Position indices run 0..seq-1 and all type indices are 0.
     batch, seq = tokens.shape
+    bounds = _feed_forward_bounds(seq, cfg.arch.intermediate + cfg.arch.hidden)
     out = np.empty((batch, seq, cfg.arch.hidden))
     groups = _groups(net)
     embedding = next(groups)
@@ -626,7 +665,8 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
             row[...] = _attention_block(row, half, cfg.arch.heads, eps, stats)
         half = next(groups)
         for row in out:
-            row[...] = _encoder_block(row, half, eps)
+            for start, stop in itertools.pairwise(bounds):
+                row[start:stop] = _encoder_block(row[start:stop], half, eps)
     pooler = next(groups)
     pooled = np.empty((seq, cfg.arch.hidden))
     for row in out:

@@ -477,7 +477,8 @@ class TestOutBuffers:
         before = np.array(out, copy=True)
         with pytest.raises(ValueError):
             kernel(x, out=out)
-        assert np.array_equal(np.asarray(out), before)
+        # Bitwise: out comes from np.empty, and a NaN pattern in it is unequal to itself.
+        assert np.asarray(out).tobytes() == before.tobytes()
 
     def test_out_keeps_a_float32_input_in_float32(self):
         x = np.random.default_rng(14).normal(size=(4, 8)).astype(np.float32)
@@ -493,7 +494,7 @@ class TestOutBuffers:
     @pytest.mark.parametrize("shift", [1, -1], ids=["out_before_x", "out_after_x"])
     def test_gelu_out_overlapping_x_gives_the_fresh_bits(self, shift):
         # One row per block: a block written straight into out may overwrite a
-        # row of x that a later block, or another thread, has still to read.
+        # row of x that a later block has still to read.
         buf = np.random.default_rng(17).normal(size=(41, 2**14 + 1))
         x, out = (buf[1:], buf[:-1]) if shift == 1 else (buf[:-1], buf[1:])
         cubic, scale = 0.044715, math.sqrt(2.0 / math.pi)
@@ -642,7 +643,7 @@ class TestThreadedKernels:
         special = [-4.0, np.nextafter(-4.0, 0.0), -1e300, -np.finfo(float).max, -np.inf, np.inf,
                    np.nan, 0.0, -0.0, 5e-324, -5e-324]
         x = np.random.default_rng(15).normal(size=(300, 1000)) * 4
-        x[:, : len(special)] = special  # every row, so every block and thread
+        x[:, : len(special)] = special  # every row, so every block
         assert np.count_nonzero(x <= -4) > 40_000
         with np.errstate(over="ignore", invalid="ignore"):
             expected = 0.5 * x * (1.0 + np.tanh(scale * (x + cubic * (x * x * x))))
@@ -653,7 +654,7 @@ class TestThreadedKernels:
             assert np.array_equal(result.view(np.uint64), expected.view(np.uint64))
 
     def test_gelu_workers_keep_the_callers_errstate(self, eight_workers):
-        # One -inf per row, so every block and thread meets an invalid -inf * 0.0.
+        # One -inf per row, so every block meets an invalid -inf * 0.0.
         x = np.random.default_rng(16).normal(size=(300, 1000))
         x[:, 0] = -np.inf
         with warnings.catch_warnings():
@@ -680,7 +681,7 @@ class TestThreadedKernels:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(x=gelu_arrays(), block=st.integers(1, 16))
     def test_gelu_bits_match_plain_expression_on_any_input(self, x, block, workers, monkeypatch):
-        # Blocks of at most 16 elements, so most arrays span several blocks and threads.
+        # Blocks of at most 16 elements, so most arrays span several blocks.
         monkeypatch.setattr(toynet, "_GELU_BLOCK", block)
         cubic, scale = 0.044715, math.sqrt(2.0 / math.pi)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -705,7 +706,7 @@ class TestThreadedKernels:
             assert (bits[saturated] == float_bits(-0.0)).all()
 
     def test_gelu_warns_where_the_cube_overflows(self, eight_workers, monkeypatch):
-        # One row per block, so every block and thread meets the overflow.
+        # One row per block, so every block meets the overflow.
         monkeypatch.setattr(toynet, "_GELU_BLOCK", 3)
         x = np.array([[-5.7e102, -np.finfo(float).max, 1e200]] * 300)
         for out in (None, x.copy()):
@@ -1019,6 +1020,135 @@ class TestStreamedLayers:
         digest = "0e6c9e52f15de5ad9b614d1683de8f569fed015b7f28f4f2b27f678e7f89c0c2"
         for net in (ToyNet.build(cfg), ToyNet.build(cfg, streamed=True)):
             assert hashlib.sha256(weight_bytes(net)).hexdigest() == digest
+
+
+@st.composite
+def wide_memory_cases(draw):
+    """memory_cases' values for a net whose feed-forward half far outweighs its
+    attention half (intermediate 16 to 64 times hidden), so that a block of it
+    can still be the forward's largest step, at 4 to 48 ids per sequence."""
+    heads = draw(st.integers(1, 2))
+    hidden = heads * draw(st.integers(1, 8))
+    seq = draw(st.integers(4, 48))
+    emb = EmbeddingConfig(draw(st.integers(1, 64)), seq, seq, 1)
+    arch = ArchParams(2, heads, hidden, draw(st.integers(16 * hidden, 64 * hidden)))
+    cfg = ToyNetConfig(arch=arch, emb=emb, seed=draw(st.sampled_from([0, 2**40 + 7])))
+    tokens = np.array(
+        draw(st.lists(st.lists(st.integers(0, emb.vocab - 1), min_size=seq, max_size=seq),
+                      min_size=1, max_size=3))
+    )
+    return cfg, tokens, draw(st.booleans())
+
+
+def block_budget(seq: int, blocks: int, width: int) -> int:
+    """A feed-forward budget that splits a sequence into about `blocks` blocks."""
+    return -(-seq // blocks) * width
+
+
+class TestFeedForwardBlocks:
+    """forward runs each sequence's feed-forward half in near-equal row blocks of
+    whole panels, with the unsplit half's bits."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seq=st.integers(1, 1100), width=st.integers(1, 9000), budget=st.integers(1, 2**21),
+           panel=st.sampled_from([2, 3, 16]))
+    def test_blocks_are_whole_panels_within_the_budget_and_never_one_row(
+            self, seq, width, budget, panel, monkeypatch):
+        monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", budget)
+        monkeypatch.setattr(toynet, "_ROW_PANEL", panel)
+        bounds = toynet._feed_forward_bounds(seq, width)
+        sizes = [stop - start for start, stop in zip(bounds, bounds[1:])]
+        fit = budget // width
+        assert bounds[0] == 0 and bounds[-1] == seq
+        assert len(sizes) == 1 or seq > max(fit, panel)
+        assert len(sizes) > 1 or seq <= max(fit, panel) + 1
+        assert min(sizes) >= min(seq, 2)
+        if len(sizes) > 1:
+            # Every block starts on a panel boundary; all but the last are the same
+            # whole panels, at most the budget where a panel fits it; the last takes
+            # the rest, a single row left over included.
+            assert all(start % panel == 0 for start in bounds[:-1])
+            assert set(sizes[:-1]) == {sizes[0]} and sizes[0] % panel == 0
+            assert sizes[-1] <= sizes[0] + 1
+            assert sizes[0] <= max(fit // panel, 1) * panel
+            assert len(sizes) <= -(-seq // (max(fit // panel, 1) * panel))
+
+    def test_the_benchmark_sequence_is_two_blocks_of_256_rows(self):
+        # 512 x (3,072 + 768) = 1,966,080 elements, against a budget of 2^20.
+        assert toynet._feed_forward_bounds(512, 3072 + 768) == [0, 256, 512]
+        assert toynet._feed_forward_bounds(273, 3840) == [0, 273]  # 1,048,320 elements
+        assert toynet._feed_forward_bounds(274, 3840) == [0, 144, 274]
+        assert toynet._feed_forward_bounds(1, 10**7) == [0, 1]
+        # One panel fits: the row left over joins the block before it.
+        assert toynet._feed_forward_bounds(17, 10**5) == [0, 17]
+        assert toynet._feed_forward_bounds(33, 10**5) == [0, 16, 33]
+        assert toynet._feed_forward_bounds(34, 10**5) == [0, 16, 32, 34]
+
+    @pytest.mark.parametrize(
+        "seq,batch,splits", [(64, 2, (2, 3)), (63, 2, (2, 3)), (512, 1, (2, 3, 5, 8, 16, 32))]
+    )
+    def test_forced_splits_give_the_unsplit_bits(self, seq, batch, splits, monkeypatch):
+        # hidden 768 and intermediate 3072: the benchmark net's shapes, unsplit under
+        # a budget of the whole sequence. The lowered budgets make 2 to 32 blocks, the
+        # last of 63 rows one row short of a panel.
+        cfg = ToyNetConfig(arch=ArchParams(2, 12, 768, 3072), emb=EmbeddingConfig(90, seq, seq, 1),
+                           seed=5)
+        tokens = np.random.default_rng(seq).integers(0, 90, size=(batch, seq))
+        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        width = 768 + 3072
+        monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", seq * width)
+        assert toynet._feed_forward_bounds(seq, width) == [0, seq]
+        unsplit, unsplit_stats = forward_with_stats(net, tokens)
+        calls = []
+        block = toynet._encoder_block
+
+        def counting(x, weights, eps):
+            calls.append(len(x))
+            return block(x, weights, eps)
+
+        monkeypatch.setattr(toynet, "_encoder_block", counting)
+        counts = set()
+        for blocks in splits:
+            monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", block_budget(seq, blocks, width))
+            count = len(toynet._feed_forward_bounds(seq, width)) - 1
+            calls.clear()
+            out, stats = forward_with_stats(net, tokens)
+            assert len(calls) == 2 * batch * count  # layers x sequences x blocks
+            assert min(calls) >= 2 and sum(calls) == 2 * batch * seq
+            assert out.tobytes() == unsplit.tobytes()
+            assert stats.softmax_row_dev.hex() == unsplit_stats.softmax_row_dev.hex()
+            counts.add(count)
+        assert min(counts) == 2 and max(counts) == min(32, -(-seq // 16))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.one_of(memory_cases(), wide_memory_cases()), blocks=st.integers(2, 8),
+           panel=st.sampled_from([2, 4]))
+    def test_forward_peak_is_within_the_closed_form_in_blocks(self, case, blocks, panel,
+                                                             monkeypatch):
+        # TestStreamedLayers' witness with the budget and the panel lowered, so that
+        # the closed form's feed-forward step is a block of a sequence, not the whole
+        # of it; on most wide_memory_cases nets that block is still the largest step.
+        cfg, tokens, with_stats = case
+        seq = tokens.shape[1]
+        width = cfg.arch.hidden + cfg.arch.intermediate
+        monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", block_budget(seq, blocks, width))
+        monkeypatch.setattr(toynet, "_ROW_PANEL", panel)
+        assert len(toynet._feed_forward_bounds(seq, width)) > 2 or seq <= 2 * panel
+        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        run = forward_with_stats if with_stats else forward
+        run(net, tokens)  # numpy's one-time caches are not the forward's
+        tracemalloc.start()
+        try:
+            run(net, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = net.token_ids.size
+        bound = toynet.streamed_forward_bytes(cfg, *tokens.shape, held)
+        assert toynet._largest_group(cfg, held) * 8 <= peak <= bound
+        assert bound - peak <= np.getbufsize() * 8
 
 
 class TestTracerContract:
