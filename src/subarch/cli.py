@@ -313,29 +313,25 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     # A bad token fails before any weight is drawn.
     tokens = check_tokens(_read_tokens(args.tokens, emb.seq), emb)
     does_not_fit = f"toy network {arch} does not fit in memory"
-    net = None
-
-    def weight_size() -> str:
-        # The net draws only the token-table rows read: the count less the rows left out.
-        held = np.unique(tokens).size if net is None else net.token_ids.size
-        return _byte_size((param_count(arch, emb) - (emb.vocab - held) * arch.hidden) * 8)
-
+    # The forward draws only the token-table rows read: the count less the rows left out.
+    read = np.unique(tokens).size
+    weight_size = _byte_size((param_count(arch, emb) - (emb.vocab - read) * arch.hidden) * 8)
     try:
-        net = ToyNet.build(net_config, tokens=tokens, streamed=True)
+        net = ToyNet.build(net_config, streamed=True)
         # The streamed forward holds one group of weights at a time: the embedding,
         # half an encoder layer or the pooler. A forward that would hold more than
         # physical memory fails before its first allocation, not after its last.
-        held_bytes = streamed_forward_bytes(net_config, *tokens.shape, net.token_ids.size)
+        held_bytes = streamed_forward_bytes(net_config, *tokens.shape)
         physical = _physical_memory()
         if held_bytes > physical:
             raise ConfigError(
                 f"{does_not_fit}: a streamed forward holds {_byte_size(held_bytes)} at once,"
                 f" more than the {_byte_size(physical)} of physical memory (its float64"
-                f" weights take {weight_size()} in all)"
+                f" weights take {weight_size} in all)"
             )
         out, stats = forward_with_stats(net, tokens)
     except (MemoryError, ValueError) as exc:  # ValueError: numpy refuses a size past its limits
-        weights = f"its float64 weights alone take {weight_size()}"
+        weights = f"its float64 weights alone take {weight_size}"
         raise ConfigError(f"{does_not_fit}: {weights}") from exc
     doc = {
         "output_shape": list(out.shape),

@@ -283,8 +283,8 @@ class ToyNetConfig:
 
 
 class ToyNet:
-    """One instantiated network: a config, named weight arrays and the token ids
-    held. A streamed net holds no array: forward draws each group as it runs.
+    """One instantiated network: a config and its named weight arrays. A streamed
+    net holds no array: forward draws each group, and each token row, as it runs.
 
     Immutable after construction; forward passes never mutate it, so a net is
     safe to share across threads.
@@ -293,11 +293,9 @@ class ToyNet:
     def __init__(self, config: ToyNetConfig, weights: dict[str, np.ndarray]) -> None:
         self.config = config
         self.weights = dict(weights)
-        # The ids of the token-table rows held, ascending, as build sets them; None: every row.
-        self.token_ids: np.ndarray | None = None
 
     @classmethod
-    def build(cls, config: ToyNetConfig, tokens=None, *, streamed: bool = False) -> "ToyNet":
+    def build(cls, config: ToyNetConfig, *, streamed: bool = False) -> "ToyNet":
         """Instantiate all weights from a seeded uniform(-1/2, 1/2) draw.
 
         Creation order is fixed, so a seed fully determines every array: the
@@ -306,29 +304,18 @@ class ToyNet:
         each in turn. Every array is allocated here, before any thread starts,
         and filled by _draw.
 
-        tokens, a token matrix as forward takes it, makes the token table hold
-        only the rows of its distinct ids, ascending, each drawn from its own
-        stretch of the full table's span; every other array and its stream
-        offset are unchanged. check_tokens raises its DataError for a bad matrix.
-
-        streamed=True draws nothing and holds no array, only the token ids:
-        forward draws each group of _layout, with the same bits, when it
-        reaches it, and streamed_forward_bytes bounds what it holds at once.
+        streamed=True draws nothing and holds no array: forward draws each group
+        of _layout, and each token row it reads, with the same bits when it
+        reaches them, and streamed_forward_bytes bounds what it holds at once.
         """
-        token_ids = None
-        if tokens is not None:  # a fresh array the caller cannot change
-            token_ids = np.unique(check_tokens(tokens, config.emb))
-            token_ids.flags.writeable = False
         weights, stretches = {}, []  # arrays by name; (stream offset, flat view) to fill
         if not streamed:
             for prefix, shapes, start in _layout(config):
-                arrays, group_stretches = _carve(shapes, start, token_ids)
+                arrays, group_stretches = _carve(_walk(shapes, start))
                 weights.update((f"{prefix}.{name}", array) for name, array in arrays.items())
                 stretches += group_stretches
             _draw(config.seed, stretches)
-        net = cls(config, weights)
-        net.token_ids = token_ids
-        return net
+        return cls(config, weights)
 
 
 def _size(shapes) -> int:
@@ -376,8 +363,8 @@ def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, 
     gives them.
 
     A group's arrays lie end to end in the stream from its offset (see _walk).
-    build and _groups carve every group, and count_instantiated_params sizes a
-    streamed net's.
+    build carves every group, _groups every group but the token table, and
+    count_instantiated_params sizes a streamed net's.
     """
     embedding, *halves, pooler = _shapes(config)
     groups = [("embedding", embedding)]
@@ -387,43 +374,49 @@ def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, 
     return [(prefix, shapes, start) for (prefix, shapes), start in zip(groups, starts)]
 
 
-def _largest_group(config: ToyNetConfig, rows_held: int) -> int:
-    """Elements of the largest group of _layout, with the token table at rows_held rows."""
+def _largest_group(config: ToyNetConfig) -> int:
+    """Elements of the largest group a streamed forward draws into its flat buffer:
+    the embedding's without its token table (see _groups), or another of _layout."""
     embedding, *rest = _shapes(config)
-    rows_left_out = config.emb.vocab - rows_held
-    return max(_size(embedding) - rows_left_out * config.arch.hidden, *map(_size, rest))
+    return max(_size(embedding[1:]), *map(_size, rest))
 
 
-def _carve(shapes, start: int, token_ids, flat=None):
-    """One group's arrays, by name within the group, and the (stream offset, flat
-    view) stretches that _draw fills them from. Each array is fresh or, with a
-    flat buffer given, the next stretch of it. With token_ids, the token table
-    holds their rows only, row r the stretch at r * hidden of the table's span.
+def _carve(walked, flat=None):
+    """The arrays of one group's (name, shape, stream offset) list from _walk, by
+    name within the group, and the (stream offset, flat view) stretches that _draw
+    fills them from. Each array is fresh or, with a flat buffer given, the next
+    stretch of it.
     """
     arrays, stretches, used = {}, [], 0
-    for name, shape, offset in _walk(shapes, start):
-        partial = name == "token_table" and token_ids is not None
-        if partial:
-            shape = (token_ids.size, shape[1])
+    for name, shape, offset in walked:
         size = math.prod(shape)
         array = np.empty(shape) if flat is None else flat[used : used + size].reshape(shape)
         arrays[name], used = array, used + size
-        if partial:
-            stretches += [(offset + r * shape[1], row) for r, row in zip(token_ids.tolist(), array)]
-        else:
-            stretches.append((offset, array.reshape(-1)))
+        stretches.append((offset, array.reshape(-1)))
     return arrays, stretches
 
 
+def _fill(seed: int, pieces) -> None:
+    """Fill each (stream offset, flat array) piece, in the order given, with the
+    uniform(-1/2, 1/2) draws found at that offset of the Generator(PCG64(seed))
+    stream, from one generator advanced (modulo its period, so back too) from piece
+    to piece; that is exact because each double takes one 64-bit draw and u - 0.5
+    is exact.
+    """
+    draws, place = np.random.Generator(np.random.PCG64(seed)), 0
+    for at, piece in pieces:
+        draws.bit_generator.advance(at - place)
+        draws.random(out=piece)
+        piece -= 0.5
+        place = at + piece.size
+
+
 def _draw(seed: int, stretches) -> None:
-    """Fill each (stream offset, flat array) stretch with the uniform(-1/2, 1/2)
-    draws found at that offset of the Generator(PCG64(seed)) stream.
+    """_fill each (stream offset, flat array) stretch, on up to one thread per CPU.
 
     The stretches are cut, in the order given, into chunks of _FILL_CHUNK
     elements: a chunk may span several stretches and a stretch several chunks.
-    Each chunk is filled on a thread by one generator advanced (modulo its
-    period, so back too) from piece to piece; that is exact because each
-    double takes one 64-bit draw and u - 0.5 is exact.
+    Each chunk is one _fill call, so one generator.
     """
     chunks, room = [], 0
     for at, flat in stretches:
@@ -436,38 +429,24 @@ def _draw(seed: int, stretches) -> None:
             chunks[-1].append((at + start, piece))
             room -= piece.size
             start += piece.size
-
-    def fill(chunk):
-        draws, place = np.random.Generator(np.random.PCG64(seed)), 0
-        for at, piece in chunk:
-            draws.bit_generator.advance(at - place)
-            draws.random(out=piece)
-            piece -= 0.5
-            place = at + piece.size
-
-    _run_parts(fill, chunks)
+    _run_parts(lambda chunk: _fill(seed, chunk), chunks)
 
 
 # Bytes of the Python objects a streamed forward makes beside its arrays: those of
-# one call (the group dicts and views, the generator, the draw's lists, numpy's
-# iterators), those of each group in _layout's list, and those of each token-table
-# row held (its own draw stretch, and the tuples the interpreter keeps for reuse
-# once it is freed). Measured on CPython 3.11 with numpy 2.4 as about 9,000, 110
-# and 420 bytes.
+# one call (the group dicts and views, the generators, the draw's lists, numpy's
+# iterators) and those of each group in _layout's list. Measured on CPython 3.11
+# with numpy 2.4 as about 9,000 and 110 bytes.
 _CALL_OBJECT_BYTES = 16_384
 _LAYOUT_GROUP_BYTES = 128
-_HELD_ROW_BYTES = 448
 
 
-def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int, rows_held: int) -> int:
+def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int) -> int:
     """The most bytes a forward of a streamed net holds at once, over a (batch, seq)
-    token matrix, with rows_held token-table rows. It is the sum of
-    - the flat buffer, sized for the largest group of _layout (_largest_group);
-    - the (batch, seq, hidden) output;
+    token matrix. It is the sum of
+    - the flat buffer, sized for the largest group it draws (_largest_group);
+    - the (batch, seq, hidden) output, into whose rows the embedding draws each
+      token's row;
     - the largest working set of one step, each with the scratch it holds:
-      - the embedding: the lookup of each id's held row (np.isin and
-        np.searchsorted, at most eight int64 per id), then one sequence's
-        gathered token rows or its layer_norm;
       - an attention half: q, k, v and one seq x seq score block with softmax's
         row reductions and buffer (each head's context goes into its q columns,
         and the output projection comes once k and v are freed), or its
@@ -476,14 +455,14 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int, rows_held
         blocks of a sequence: the block's widened activation with its bias
         add's buffer or gelu's scratch, then with its narrowed activation, or
         its layer_norm;
-      where a layer_norm holds, beside its input (for the embedding, a row of
-      the output), its block scratch, three row statistics and a buffer. The
-      scratches are bounded: gelu's and
-      layer_norm's by _GELU_BLOCK elements or one row, and the buffer that
-      numpy's ufunc iterator takes for an in-place broadcast (a bias add, a
-      row-wise subtract or divide) by np.getbufsize() elements;
-    - the Python objects: of one call, of each token-table row held, and of each
-      of _layout's 2 * depth + 2 groups, which forward lists before its first draw.
+      where a layer_norm holds, beside its input, its block scratch, three row
+      statistics and a buffer. The embedding's one step, a layer_norm on a row
+      of the output, holds no more than an attention half's. The scratches are
+      bounded: gelu's and layer_norm's by _GELU_BLOCK elements or one row, and
+      the buffer that numpy's ufunc iterator takes for an in-place broadcast (a
+      bias add, a row-wise subtract or divide) by np.getbufsize() elements;
+    - the Python objects: of one call, and of each of _layout's 2 * depth + 2
+      groups, which forward lists before its first draw.
 
     Exact int arithmetic on the shapes of _shapes, so its cost does not grow
     with depth and no size overflows; a test witnesses it with tracemalloc. The
@@ -492,7 +471,7 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int, rows_held
     """
     hidden, inter = config.arch.hidden, config.arch.intermediate
     buffer = np.getbufsize()
-    ids, sequence = batch * seq, seq * hidden
+    sequence = seq * hidden
     bounds = _feed_forward_bounds(seq, inter + hidden)
     block = max(stop - start for start, stop in itertools.pairwise(bounds))
     widened, narrowed = block * inter, block * hidden
@@ -501,34 +480,22 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int, rows_held
         return min(rows, _block_rows(hidden)) * hidden + 3 * rows + min(buffer, rows * hidden)
 
     steps = (
-        8 * ids + max(sequence, norm(seq)),
         max(3 * sequence + seq * seq + 2 * seq + min(buffer, seq * seq), sequence + norm(seq)),
         max(widened + max(min(buffer, widened), min(block, _block_rows(inter)) * inter, narrowed),
             narrowed + norm(block)),
     )
-    elements = _largest_group(config, rows_held) + ids * hidden + max(steps)
-    objects = (
-        _CALL_OBJECT_BYTES
-        + _HELD_ROW_BYTES * rows_held
-        + _LAYOUT_GROUP_BYTES * (2 * config.arch.depth + 2)
-    )
-    return 8 * elements + objects
+    elements = _largest_group(config) + batch * sequence + max(steps)
+    return 8 * elements + _CALL_OBJECT_BYTES + _LAYOUT_GROUP_BYTES * (2 * config.arch.depth + 2)
 
 
 def count_instantiated_params(net: ToyNet) -> int:
     """Total elements across all weight arrays; matches the closed-form count.
-
-    A net that holds only some token rows counts its table at the full
-    vocab x hidden shape, as the closed form does, and a streamed net counts
-    every group of _layout that forward draws.
+    A streamed net counts every array of _layout that forward draws, its token
+    table at the full vocab x hidden shape.
     """
-    cfg = net.config
     if not net.weights:
-        return sum(_size(shapes) for _, shapes, _ in _layout(cfg))
-    total = sum(array.size for array in net.weights.values())
-    if net.token_ids is not None:
-        total += (cfg.emb.vocab - net.token_ids.size) * cfg.arch.hidden
-    return int(total)
+        return sum(_size(shapes) for _, shapes, _ in _layout(net.config))
+    return int(sum(array.size for array in net.weights.values()))
 
 
 def check_tokens(tokens, emb: EmbeddingConfig) -> np.ndarray:
@@ -557,19 +524,6 @@ def check_tokens(tokens, emb: EmbeddingConfig) -> np.ndarray:
             row, col = np.argwhere(bad)[0]
             raise DataError(f"token id {tokens[row, col]} {fault} at batch {row}, position {col}")
     return tokens.astype(np.int64, copy=False)
-
-
-def _held_rows(token_ids: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """The row of a partial token table that holds each id of tokens, or a
-    DataError naming the first id it does not hold."""
-    held = np.isin(tokens, token_ids)
-    if not held.all():
-        row, col = np.argwhere(~held)[0]
-        raise DataError(
-            f"token id {tokens[row, col]} at batch {row}, position {col} is not among the"
-            f" {token_ids.size} token-table rows this net holds"
-        )
-    return np.searchsorted(token_ids, tokens)
 
 
 def _attention_block(x, weights, heads: int, eps: float, stats):
@@ -610,21 +564,22 @@ def _groups(net: ToyNet):
     """Each group of _layout's arrays, by name within the group, in stream order.
 
     A fully built net lends its own. A streamed net's groups are drawn in turn
-    into views of one flat buffer, sized for the largest group (the token table
-    at the rows held), that this generator allocates once and refills; so one
-    group is held at a time, each forward call has its own buffer and the net
-    itself is never written.
+    into views of one flat buffer, sized for the largest group, that this
+    generator allocates once and refills; so one group is held at a time, each
+    forward call has its own buffer and the net itself is never written. The
+    token table, which leads the stream, is left out of the embedding's group:
+    forward draws each row it reads.
     """
-    cfg, ids = net.config, net.token_ids
-    layout = _layout(cfg)
+    layout = _layout(net.config)
     if net.weights:
         for prefix, shapes, _ in layout:
             yield {name: net.weights[f"{prefix}.{name}"] for name, _ in shapes}
         return
-    flat = np.empty(_largest_group(cfg, cfg.emb.vocab if ids is None else ids.size))
-    for _, shapes, start in layout:
-        arrays, stretches = _carve(shapes, start, ids, flat)
-        _draw(cfg.seed, stretches)
+    flat = np.empty(_largest_group(net.config))
+    for prefix, shapes, start in layout:
+        walked = _walk(shapes, start)
+        arrays, stretches = _carve(walked[1:] if prefix == "embedding" else walked, flat)
+        _draw(net.config.seed, stretches)
         yield arrays
 
 
@@ -636,9 +591,8 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
     input are bitwise identical.
     """
     cfg = net.config
-    eps = cfg.layernorm_eps
+    eps, hidden = cfg.layernorm_eps, cfg.arch.hidden
     tokens = check_tokens(tokens, cfg.emb)
-    rows = tokens if net.token_ids is None else _held_rows(net.token_ids, tokens)
 
     # Group-major: every sequence passes a group of weights before any passes
     # the next, each kept in its own output row between groups. Every step
@@ -650,15 +604,18 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
     # group.
     # Position indices run 0..seq-1 and all type indices are 0.
     batch, seq = tokens.shape
-    bounds = _feed_forward_bounds(seq, cfg.arch.intermediate + cfg.arch.hidden)
-    out = np.empty((batch, seq, cfg.arch.hidden))
+    bounds = _feed_forward_bounds(seq, cfg.arch.intermediate + hidden)
+    out = np.empty((batch, seq, hidden))
     groups = _groups(net)
     embedding = next(groups)
-    for ids, row in zip(rows, out):  # the token rows are the one array allocated here
-        np.add(embedding["token_table"][ids], embedding["position_table"][:seq], out=row)
+    for ids, row in zip(tokens, out):
+        if net.weights:
+            np.take(embedding["token_table"], ids, axis=0, out=row)
+        else:  # the token table leads the stream: id i's row is the stretch at i * hidden
+            _fill(cfg.seed, ((int(i) * hidden, piece) for i, piece in zip(ids, row)))
+        row += embedding["position_table"][:seq]
         row += embedding["type_table"][0]
         layer_norm(row, embedding["norm.scale"], embedding["norm.shift"], eps, out=row)
-    del rows, ids  # each id's held row, only the embedding reads it; ids is a view of rows
     for _ in range(cfg.arch.depth):
         half = next(groups)
         for row in out:
@@ -668,7 +625,7 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
             for start, stop in itertools.pairwise(bounds):
                 row[start:stop] = _encoder_block(row[start:stop], half, eps)
     pooler = next(groups)
-    pooled = np.empty((seq, cfg.arch.hidden))
+    pooled = np.empty((seq, hidden))
     for row in out:
         np.matmul(row, pooler["weight"], out=pooled)
         pooled += pooler["bias"]

@@ -535,7 +535,8 @@ class TestToyForward:
         assert "12,544 bytes" in err
 
     def test_a_layer_draw_that_runs_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        # build's one draw runs; forward's first layer draw fails as if out of memory.
+        # forward's first draw, the embedding's, runs; its second, the first attention
+        # half's, fails as if out of memory.
         calls = []
         draw = toynet._draw
 
@@ -598,7 +599,7 @@ class TestToyForward:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         net_config = toynet.ToyNetConfig(arch=arch, emb=EmbeddingConfig(50265, 514, 2, 1))
-        held = toynet.streamed_forward_bytes(net_config, 1, 2, 2)
+        held = toynet.streamed_forward_bytes(net_config, 1, 2)
         assert held > 3 * 2**40 * 8
         assert err.startswith(
             f"config error: toy network {arch} does not fit in memory: a streamed forward"

@@ -751,13 +751,27 @@ class TestThreadedKernels:
             toynet._run_parts(fn, list(range(5)))
 
 
+def recording_fill(monkeypatch) -> list[tuple[int, np.ndarray]]:
+    """Patch toynet._fill to record a copy of every (stream offset, piece) it fills."""
+    filled, fill = [], toynet._fill
+
+    def recording(seed, pieces):
+        pieces = list(pieces)
+        fill(seed, pieces)
+        filled.extend((at, piece.copy()) for at, piece in pieces)
+
+    monkeypatch.setattr(toynet, "_fill", recording)
+    return filled
+
+
 class TestDrawnTokenRows:
-    """build(config, tokens) draws only the token rows read, with the full build's bits."""
+    """A streamed forward draws each token's row from its place in the stream, with
+    the full build's bits, and holds no token table."""
 
     @pytest.mark.parametrize("seed", [0, 2**40 + 7])
     def test_drawn_rows_and_forward_match_the_full_build(self, seed, eight_workers, monkeypatch):
-        # 5-element chunks: the full table's 8-wide rows straddle chunk
-        # boundaries, and each drawn row is filled in two pieces.
+        # 5-element chunks: the groups' arrays straddle chunk boundaries, while each
+        # sequence's 8-wide token rows are drawn by one fill.
         monkeypatch.setattr(toynet, "_FILL_CHUNK", 5)
         cfg = ToyNetConfig(arch=SMALL.arch, emb=SMALL.emb, seed=seed)
         ids = np.array([0, 1, 7, 12, 20, 31])  # id 0 and id vocab-1
@@ -765,17 +779,13 @@ class TestDrawnTokenRows:
         tokens[0, :3] = 31
         tokens[1, :6] = ids[::-1]  # every id, unsorted
         full = ToyNet.build(cfg)
-        drawn = ToyNet.build(cfg, tokens=tokens)
-        assert drawn.token_ids.tolist() == np.unique(tokens).tolist() == ids.tolist()
-        assert drawn.token_ids.dtype == np.int64 and not drawn.token_ids.flags.writeable
-        assert list(drawn.weights) == list(full.weights)
-        table = "embedding.token_table"
-        assert drawn.weights[table].tobytes() == full.weights[table][ids].tobytes()
-        assert all(
-            drawn.weights[k].tobytes() == full.weights[k].tobytes() for k in full.weights
-            if k != table
-        )
-        assert forward(drawn, tokens).tobytes() == forward(full, tokens).tobytes()
+        table = full.weights["embedding.token_table"]
+        filled = recording_fill(monkeypatch)
+        out = forward(ToyNet.build(cfg, streamed=True), tokens)
+        rows = [(at, row) for at, row in filled if at < table.size]  # the table leads the stream
+        assert [at for at, _ in rows] == (tokens.reshape(-1) * 8).tolist()
+        assert b"".join(row.tobytes() for _, row in rows) == table[tokens.reshape(-1)].tobytes()
+        assert out.tobytes() == forward(full, tokens).tobytes()
 
     @pytest.mark.parametrize(
         "tokens",
@@ -783,78 +793,71 @@ class TestDrawnTokenRows:
         ids=["negative", "vocab", "one_axis", "float", "bool"],
     )
     def test_build_rejects_other_token_ids(self, tokens):
-        with pytest.raises(DataError) as from_build:
-            ToyNet.build(SMALL, tokens=np.array(tokens))
-        with pytest.raises(DataError) as from_forward:
+        with pytest.raises(DataError) as from_streamed:
+            forward(ToyNet.build(SMALL, streamed=True), np.array(tokens))
+        with pytest.raises(DataError) as from_full:
             forward(ToyNet.build(SMALL), np.array(tokens))
-        assert str(from_build.value) == str(from_forward.value)
+        assert str(from_streamed.value) == str(from_full.value)
 
-    def test_build_rejects_an_unsigned_id_beyond_int64(self):
+    def test_build_rejects_an_unsigned_id_beyond_int64(self, monkeypatch):
         cfg = ToyNetConfig(arch=SMALL.arch, emb=EmbeddingConfig(10**20, 16, 2, 1))
+        net = ToyNet.build(cfg, streamed=True)
         tokens = np.array([[0, 2**62], [7, 2**63 + 5]], dtype=np.uint64)
         fault = r"token id 9223372036854775813 beyond int64 .* at batch 1, position 1$"
-        with pytest.raises(DataError, match=fault) as from_build:
-            ToyNet.build(cfg, tokens=tokens)
-        with pytest.raises(DataError) as from_forward:
-            forward(ToyNet.build(cfg, tokens=[[0]]), tokens)
-        assert str(from_build.value) == str(from_forward.value)
-        held = ToyNet.build(cfg, tokens=tokens[:1])  # ids below 2**63 are held as themselves
-        assert held.token_ids.tolist() == [0, 2**62]
-        assert forward(held, tokens[:1]).shape == (1, 2, SMALL.arch.hidden)
-
-    def test_forward_on_an_id_not_held_names_it(self):
-        net = ToyNet.build(SMALL, tokens=[[31, 0, 5, 0]])
-        tokens = np.array([[0, 5, 31, 5, 0, 0, 0, 0], [5, 5, 0, 31, 6, 0, 0, 0]])
-        with pytest.raises(DataError, match=r"token id 6 at batch 1, position 4 is not among"):
+        with pytest.raises(DataError, match=fault):
             forward(net, tokens)
-        with pytest.raises(DataError, match=r"token id 0 at batch 0, position 0 is not among"):
-            forward(ToyNet.build(SMALL, tokens=np.zeros((0, 8), dtype=np.int64)), tokens)
-
-    def test_count_is_the_closed_form_on_a_partial_net(self):
-        partial = ToyNet.build(SMALL, tokens=[[9, 2, 9]])
-        assert partial.weights["embedding.token_table"].shape == (2, 8)
-        assert (
-            count_instantiated_params(partial)
-            == count_instantiated_params(ToyNet.build(SMALL))
-            == param_count(SMALL.arch, SMALL.emb)
-        )
+        # Ids below 2**63 are read as themselves, at offsets past int64: an int64
+        # ids * hidden would wrap 2**62 * 8.
+        filled = recording_fill(monkeypatch)
+        assert forward(net, tokens[:1]).shape == (1, 2, SMALL.arch.hidden)
+        rows = [(at, row) for at, row in filled if at < cfg.emb.vocab * SMALL.arch.hidden]
+        assert [at for at, _ in rows] == [0, 2**65]
+        stream = np.random.Generator(PCG64(cfg.seed))
+        stream.bit_generator.advance(2**65)
+        assert rows[1][1].tobytes() == (stream.random(8) - 0.5).tobytes()
 
     def test_build_seeds_one_generator_per_chunk_not_per_row(self, monkeypatch):
+        # One generator per draw chunk of each group and one per sequence's token rows.
         monkeypatch.setattr(toynet, "_FILL_CHUNK", 4096)
         seeded = []
         monkeypatch.setattr(np.random, "PCG64", lambda s: seeded.append(s) or PCG64(s))
         cfg = ToyNetConfig(arch=ArchParams(2, 2, 16, 32), emb=EmbeddingConfig(5000, 16, 10, 1))
         ids = np.random.default_rng(4).choice(5000, size=1000, replace=False)
-        net = ToyNet.build(cfg, tokens=ids.reshape(100, 10))
-        assert net.weights["embedding.token_table"].shape == (1000, 16)
-        drawn = sum(array.size for array in net.weights.values())
-        assert len(seeded) == math.ceil(drawn / 4096) < 10
+        forward(ToyNet.build(cfg, streamed=True), ids.reshape(100, 10))
+        chunks = sum(
+            -(-toynet._size(shapes[1:] if prefix == "embedding" else shapes) // 4096)
+            for prefix, shapes, _ in toynet._layout(cfg)
+        )
+        assert len(seeded) == chunks + 100 < 120
 
     def test_memory_holds_the_drawn_rows_not_the_table(self):
-        # The full 50,265 x 64 table is 24.5 MiB; 16 drawn rows are 8 KiB.
+        # The 50,265 x 64 token table is 24.5 MiB; a streamed forward holds none of it.
         cfg = ToyNetConfig(arch=ArchParams(2, 2, 64, 128), emb=EmbeddingConfig(50_265, 16, 8, 1))
-        ids = np.arange(0, 50_265, 3_141)[:16]
-        rest = param_count(cfg.arch, cfg.emb) - cfg.emb.vocab * 64
+        tokens = np.arange(0, 50_265, 3_141)[:16].reshape(2, 8)
+        net = ToyNet.build(cfg, streamed=True)
         tracemalloc.start()
         try:
-            net = ToyNet.build(cfg, tokens=ids.reshape(2, 8))
+            forward(net, tokens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert net.weights["embedding.token_table"].shape == (16, 64)
-        assert peak < (rest + 16 * 64) * 8 + 512 * 1024
+        assert peak <= toynet.streamed_forward_bytes(cfg, 2, 8) < 512 * 1024
 
 
 def weight_bytes(net: ToyNet) -> bytes:
-    """Every weight's bytes in creation order; a streamed net's groups as forward draws them."""
+    """Every weight's bytes in creation order; a streamed net's token table drawn
+    through the fill, then its groups as forward draws them."""
     if net.weights:
         return b"".join(array.tobytes() for array in net.weights.values())
-    return b"".join(array.tobytes() for group in toynet._groups(net) for array in group.values())
+    table = np.empty(net.config.emb.vocab * net.config.arch.hidden)
+    toynet._fill(net.config.seed, [(0, table)])
+    groups = b"".join(array.tobytes() for group in toynet._groups(net) for array in group.values())
+    return table.tobytes() + groups
 
 
 @st.composite
 def streamed_cases(draw):
-    """A small config, its token matrix and whether the streamed net holds only the rows read."""
+    """A small config and its token matrix."""
     heads = draw(st.integers(1, 3))
     seq = draw(st.integers(1, 6))
     emb = EmbeddingConfig(draw(st.integers(1, 40)), seq + draw(st.integers(0, 3)), seq, 1)
@@ -865,7 +868,7 @@ def streamed_cases(draw):
         draw(st.lists(st.lists(st.integers(0, emb.vocab - 1), min_size=seq, max_size=seq),
                       min_size=1, max_size=3))
     )
-    return cfg, tokens, draw(st.booleans())
+    return cfg, tokens
 
 
 @st.composite
@@ -904,19 +907,18 @@ class TestStreamedLayers:
                                                      monkeypatch):
         # Chunks of at most 64 elements: layer arrays straddle chunk boundaries.
         monkeypatch.setattr(toynet, "_FILL_CHUNK", chunk)
-        cfg, tokens, partial = case
+        cfg, tokens = case
         full, full_stats = forward_with_stats(ToyNet.build(cfg), tokens)
-        net = ToyNet.build(cfg, tokens=tokens if partial else None, streamed=True)
+        net = ToyNet.build(cfg, streamed=True)
         assert not any(name.startswith("encoder.") for name in net.weights)
         out, stats = forward_with_stats(net, tokens)
         assert out.tobytes() == full.tobytes()
         assert stats.softmax_row_dev.hex() == full_stats.softmax_row_dev.hex()
         assert forward(net, tokens).tobytes() == out.tobytes()
 
-    @pytest.mark.parametrize("tokens", [None, [[9, 2, 9]]], ids=["full_table", "partial_table"])
-    def test_count_is_the_closed_form(self, tokens):
+    def test_count_is_the_closed_form(self):
         cfg = ToyNetConfig(arch=ArchParams(4, 2, 8, 16), emb=SMALL.emb)
-        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        net = ToyNet.build(cfg, streamed=True)
         assert net.weights == {}
         assert count_instantiated_params(net) == param_count(cfg.arch, cfg.emb)
 
@@ -926,10 +928,8 @@ class TestStreamedLayers:
         tokens = np.random.default_rng(3).integers(0, 50, size=(2, 16))
         peaks = {}
         for depth in (2, 6):
-            net = ToyNet.build(
-                ToyNetConfig(arch=ArchParams(depth, 2, 32, 128), emb=emb), tokens=tokens,
-                streamed=True,
-            )
+            net = ToyNet.build(ToyNetConfig(arch=ArchParams(depth, 2, 32, 128), emb=emb),
+                               streamed=True)
             tracemalloc.start()
             try:
                 forward(net, tokens)
@@ -949,7 +949,7 @@ class TestStreamedLayers:
                   (2 * hidden * inter + inter + 3 * hidden) * 8]
         cfg = ToyNetConfig(arch=arch, emb=EmbeddingConfig(50, 8, 8, 1))
         tokens = np.random.default_rng(8).integers(0, 50, size=(2, 8))
-        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        net = ToyNet.build(cfg, streamed=True)
         tracemalloc.start()
         try:
             forward(net, tokens)
@@ -960,8 +960,8 @@ class TestStreamedLayers:
 
     # The first two examples' bound is broken by an activation the size of one
     # sequence (seq x hidden) held across groups: a feed-forward-larger and an
-    # attention-larger net. The third's is broken by the (batch, seq) index of held
-    # rows kept across groups, which only a large batch at a small hidden size shows.
+    # attention-larger net. The third's is broken by anything kept per token id
+    # across groups, which only a large batch at a small hidden size shows.
     @example(case=memory_case((2, 4, 60, 132), batch=3, seq=58, vocab=4, stats=False))
     @example(case=memory_case((4, 4, 64, 78), batch=1, seq=54, vocab=10, stats=True))
     @example(case=memory_case((2, 1, 1, 1), batch=24, seq=128, vocab=1, stats=False))
@@ -979,7 +979,7 @@ class TestStreamedLayers:
         )
         # memory_cases draws either half as the larger: they cross at intermediate = 2 * hidden.
         assert (feed_forward_half > attention_half) == (cfg.arch.intermediate > 2 * cfg.arch.hidden)
-        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        net = ToyNet.build(cfg, streamed=True)
         run = forward_with_stats if with_stats else forward
         run(net, tokens)  # numpy's one-time caches are not the forward's
         tracemalloc.start()
@@ -988,15 +988,14 @@ class TestStreamedLayers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = net.token_ids.size
-        bound = toynet.streamed_forward_bytes(cfg, *tokens.shape, held)
-        assert toynet._largest_group(cfg, held) * 8 <= peak <= bound
+        bound = toynet.streamed_forward_bytes(cfg, *tokens.shape)
+        assert toynet._largest_group(cfg) * 8 <= peak <= bound
         assert bound - peak <= np.getbufsize() * 8
 
     def test_threads_share_one_net(self, eight_workers):
         cfg = ToyNetConfig(arch=ArchParams(2, 2, 16, 64), emb=EmbeddingConfig(60, 12, 12, 1))
         tokens = np.random.default_rng(9).integers(0, 60, size=(3, 12))
-        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        net = ToyNet.build(cfg, streamed=True)
         alone = forward(net, tokens).tobytes()
         outputs, start = [], threading.Barrier(2)
 
@@ -1095,7 +1094,7 @@ class TestFeedForwardBlocks:
         cfg = ToyNetConfig(arch=ArchParams(2, 12, 768, 3072), emb=EmbeddingConfig(90, seq, seq, 1),
                            seed=5)
         tokens = np.random.default_rng(seq).integers(0, 90, size=(batch, seq))
-        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        net = ToyNet.build(cfg, streamed=True)
         width = 768 + 3072
         monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", seq * width)
         assert toynet._feed_forward_bounds(seq, width) == [0, seq]
@@ -1136,7 +1135,7 @@ class TestFeedForwardBlocks:
         monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", block_budget(seq, blocks, width))
         monkeypatch.setattr(toynet, "_ROW_PANEL", panel)
         assert len(toynet._feed_forward_bounds(seq, width)) > 2 or seq <= 2 * panel
-        net = ToyNet.build(cfg, tokens=tokens, streamed=True)
+        net = ToyNet.build(cfg, streamed=True)
         run = forward_with_stats if with_stats else forward
         run(net, tokens)  # numpy's one-time caches are not the forward's
         tracemalloc.start()
@@ -1145,9 +1144,8 @@ class TestFeedForwardBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = net.token_ids.size
-        bound = toynet.streamed_forward_bytes(cfg, *tokens.shape, held)
-        assert toynet._largest_group(cfg, held) * 8 <= peak <= bound
+        bound = toynet.streamed_forward_bytes(cfg, *tokens.shape)
+        assert toynet._largest_group(cfg) * 8 <= peak <= bound
         assert bound - peak <= np.getbufsize() * 8
 
 
@@ -1171,7 +1169,7 @@ class TestTracerContract:
             monkeypatch.setattr(toynet, name, counting(name, getattr(toynet, name)))
         cfg = ToyNetConfig(arch=ArchParams(2, 3, 12, 24), emb=EmbeddingConfig(40, 8, 8, 1))
         tokens = np.random.default_rng(7).integers(0, 40, size=(2, 8))
-        forward(ToyNet.build(cfg, tokens=tokens, streamed=True), tokens)
+        forward(ToyNet.build(cfg, streamed=True), tokens)
         assert Counter(name for name, _ in calls) == {
             "softmax": 12, "layer_norm": 10, "gelu": 4, "attention": 4, "_encoder_block": 4
         }
