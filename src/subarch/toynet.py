@@ -490,12 +490,13 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int) -> int:
 
 def count_instantiated_params(net: ToyNet) -> int:
     """Total elements across all weight arrays; matches the closed-form count.
-    A streamed net counts every array of _layout that forward draws, its token
-    table at the full vocab x hidden shape.
+
+    A streamed net counts every array of _layout, its token table at the full
+    vocab x hidden shape, though forward draws only the rows it reads.
     """
     if not net.weights:
         return sum(_size(shapes) for _, shapes, _ in _layout(net.config))
-    return int(sum(array.size for array in net.weights.values()))
+    return sum(array.size for array in net.weights.values())
 
 
 def check_tokens(tokens, emb: EmbeddingConfig) -> np.ndarray:

@@ -770,8 +770,8 @@ class TestDrawnTokenRows:
 
     @pytest.mark.parametrize("seed", [0, 2**40 + 7])
     def test_drawn_rows_and_forward_match_the_full_build(self, seed, eight_workers, monkeypatch):
-        # 5-element chunks: the groups' arrays straddle chunk boundaries, while each
-        # sequence's 8-wide token rows are drawn by one fill.
+        # 5-element chunks: the full table's 8-wide rows straddle chunk boundaries,
+        # while the streamed forward draws each sequence's token rows by one fill.
         monkeypatch.setattr(toynet, "_FILL_CHUNK", 5)
         cfg = ToyNetConfig(arch=SMALL.arch, emb=SMALL.emb, seed=seed)
         ids = np.array([0, 1, 7, 12, 20, 31])  # id 0 and id vocab-1
