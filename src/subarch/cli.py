@@ -24,7 +24,7 @@ from .engine import (
 )
 from .errors import ConfigError, DataError, VerificationError
 from .metrics import ingest_measurements
-from .space import ArchParams, EmbeddingConfig, enumerate_space, stride_subsample
+from .space import ArchParams, EmbeddingConfig, SearchSpace, enumerate_space, stride_subsample
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,19 +143,31 @@ def _arch_from(args: argparse.Namespace, settings: dict) -> ArchParams:
     return config_mod.parse_arch(settings["arch"])
 
 
+@contextlib.contextmanager
+def _grid_fits(space: SearchSpace, epsilon: int):
+    """Turn a MemoryError in the block into a ConfigError (exit 2, one stderr line)
+    naming the point count of the grid it enumerates: `space` at stride `epsilon`."""
+    try:
+        yield
+    except MemoryError as exc:
+        points = stride_subsample(space, epsilon).size()
+        raise ConfigError(f"the grid of {points:,} points does not fit in memory") from exc
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    space = stride_subsample(config_mod.space_from(settings), settings["epsilon"])
-    archs = enumerate_space(space)
-    if args.format == "json":
-        doc = {"count": len(archs), "candidates": [list(a.as_tuple()) for a in archs]}
-        text = json.dumps(doc, indent=2)
-    else:
-        lines = ["depth heads hidden intermediate"]
-        lines += [" ".join(str(v) for v in a.as_tuple()) for a in archs]
-        lines.append(f"count: {len(archs)}")
-        text = "\n".join(lines)
-    _emit(text, args)
+    space = config_mod.space_from(settings)
+    with _grid_fits(space, settings["epsilon"]):
+        archs = enumerate_space(stride_subsample(space, settings["epsilon"]))
+        if args.format == "json":
+            doc = {"count": len(archs), "candidates": [list(a.as_tuple()) for a in archs]}
+            text = json.dumps(doc, indent=2)
+        else:
+            lines = ["depth heads hidden intermediate"]
+            lines += [" ".join(str(v) for v in a.as_tuple()) for a in archs]
+            lines.append(f"count: {len(archs)}")
+            text = "\n".join(lines)
+        _emit(text, args)
     return 0
 
 
@@ -248,8 +260,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         top_k=settings["top_k"],
         n_steps=settings["n_steps"],
     )
-    report = run_extraction(run_config, measurements)
-    _emit(render_json(report) if args.format == "json" else render_text(report), args)
+    with _grid_fits(space, settings["epsilon"]):
+        report = run_extraction(run_config, measurements)
+        _emit(render_json(report) if args.format == "json" else render_text(report), args)
     return 0
 
 
@@ -318,9 +331,10 @@ def _cmd_toy_forward(args: argparse.Namespace) -> int:
     weight_size = _byte_size((param_count(arch, emb) - (emb.vocab - read) * arch.hidden) * 8)
     try:
         net = ToyNet.build(net_config, streamed=True)
-        # The streamed forward holds one group of weights at a time: the embedding,
-        # half an encoder layer or the pooler. A forward that would hold more than
-        # physical memory fails before its first allocation, not after its last.
+        # The streamed forward holds one group of weights at a time: the embedding, an
+        # encoder layer's attention half, widen or narrow group, or the pooler. A forward
+        # that would hold more than physical memory fails before its first allocation,
+        # not after its last.
         held_bytes = streamed_forward_bytes(net_config, *tokens.shape)
         physical = _physical_memory()
         if held_bytes > physical:

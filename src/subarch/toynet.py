@@ -30,7 +30,7 @@ _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_BLOCK = 1 << 15
 # Elements of widened plus narrowed activation per feed-forward row block:
 # rows x (intermediate + hidden), one _ROW_PANEL at least (see _feed_forward_bounds).
-_FEED_FORWARD_BLOCK = 1 << 20
+_FEED_FORWARD_BLOCK = 1 << 21
 # Rows per panel of a feed-forward row block, two at least. Blocks that start on
 # multiples of 16 rows gave the unsplit product's bits on every OpenBLAS x86-64
 # dgemm kernel run on one thread, where other splits did not (see the README).
@@ -45,22 +45,22 @@ def _block_rows(width: int) -> int:
     return max(1, _GELU_BLOCK // max(width, 1))
 
 
-def _feed_forward_bounds(seq: int, width: int) -> list[int]:
-    """Row bounds 0, ..., seq of the blocks that forward runs a sequence's
-    feed-forward half in. A sequence within _FEED_FORWARD_BLOCK elements of the
-    given width, or within one _ROW_PANEL, is one block. Otherwise the blocks
-    are near-equal in whole panels, each within the budget (or one panel where
-    less fits), and the last takes the rest. A last block of one row joins the
-    block before it: a one-row matmul takes numpy's vector path, whose bits
-    differ from a multi-row gemm's.
+def _feed_forward_bounds(rows: int, width: int) -> list[int]:
+    """Row bounds 0, ..., rows of the blocks that forward runs the feed-forward
+    half of a batch's rows in, its sequences laid end to end. Rows within
+    _FEED_FORWARD_BLOCK elements of the given width, or within one _ROW_PANEL,
+    are one block. Otherwise the blocks are near-equal in whole panels, each
+    within the budget (or one panel where less fits), and the last takes the
+    rest. A last block of one row joins the block before it: a one-row matmul
+    takes numpy's vector path, whose bits differ from a multi-row gemm's.
     """
     fit = _FEED_FORWARD_BLOCK // max(width, 1)
-    if seq <= max(fit, _ROW_PANEL):
-        return [0, seq]
+    if rows <= max(fit, _ROW_PANEL):
+        return [0, rows]
     most = max(1, fit // _ROW_PANEL) * _ROW_PANEL
-    size = -(-seq // -(-seq // most))  # the fewest blocks of at most `most` rows, near-equal
+    size = -(-rows // -(-rows // most))  # the fewest blocks of at most `most` rows, near-equal
     size = -(-size // _ROW_PANEL) * _ROW_PANEL
-    return [*range(0, seq - 1, size), seq]
+    return [*range(0, rows - 1, size), rows]
 
 
 def _workers() -> int:
@@ -356,19 +356,27 @@ def _shapes(config: ToyNetConfig) -> list[list[tuple[str, tuple[int, ...]]]]:
     return [embedding, attention_half, feed_forward_half, pooler]
 
 
+def _group_shapes(config: ToyNetConfig) -> list[list[tuple[str, tuple[int, ...]]]]:
+    """_shapes' kinds with the feed-forward half in two groups: its widen group
+    (`intermediate.*`) and its narrow group (`projection.*`, `output_norm.*`),
+    which forward draws in turn for each row block."""
+    embedding, attention_half, feed_forward_half, pooler = _shapes(config)
+    return [embedding, attention_half, feed_forward_half[:2], feed_forward_half[2:], pooler]
+
+
 def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, ...]]], int]]:
     """(name prefix, [(name, shape)], stream offset) of each group of weight arrays in
-    creation order: the embedding, each encoder layer's attention half then its
-    feed-forward half (both under the layer's prefix), then the pooler, as _shapes
-    gives them.
+    creation order: the embedding, each encoder layer's attention half, widen group
+    and narrow group (all under the layer's prefix), then the pooler, as
+    _group_shapes gives them: 3 * depth + 2 groups.
 
     A group's arrays lie end to end in the stream from its offset (see _walk).
     build carves every group, _groups every group but the token table, and
     count_instantiated_params sizes a streamed net's.
     """
-    embedding, *halves, pooler = _shapes(config)
+    embedding, *layer, pooler = _group_shapes(config)
     groups = [("embedding", embedding)]
-    groups += [(f"encoder.{index}", half) for index in range(config.arch.depth) for half in halves]
+    groups += [(f"encoder.{index}", group) for index in range(config.arch.depth) for group in layer]
     groups.append(("pooler", pooler))
     starts = itertools.accumulate((_size(shapes) for _, shapes in groups), initial=0)
     return [(prefix, shapes, start) for (prefix, shapes), start in zip(groups, starts)]
@@ -377,7 +385,7 @@ def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, 
 def _largest_group(config: ToyNetConfig) -> int:
     """Elements of the largest group a streamed forward draws into its flat buffer:
     the embedding's without its token table (see _groups), or another of _layout."""
-    embedding, *rest = _shapes(config)
+    embedding, *rest = _group_shapes(config)
     return max(_size(embedding[1:]), *map(_size, rest))
 
 
@@ -452,19 +460,19 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int) -> int:
         and the output projection comes once k and v are freed), or its
         layer_norm;
       - a feed-forward half, over the largest of _feed_forward_bounds' row
-        blocks of a sequence: the block's widened activation with its bias
-        add's buffer or gelu's scratch, then with its narrowed activation, or
-        its layer_norm;
+        blocks of the batch: the block's widened activation with its bias
+        add's buffer or gelu's scratch, then (once the narrow group is drawn
+        over the widen group) with its narrowed activation, or its layer_norm;
       where a layer_norm holds, beside its input, its block scratch, three row
       statistics and a buffer. The embedding's one step, a layer_norm on a row
       of the output, holds no more than an attention half's. The scratches are
       bounded: gelu's and layer_norm's by _GELU_BLOCK elements or one row, and
       the buffer that numpy's ufunc iterator takes for an in-place broadcast (a
       bias add, a row-wise subtract or divide) by np.getbufsize() elements;
-    - the Python objects: of one call, and of each of _layout's 2 * depth + 2
+    - the Python objects: of one call, and of each of _layout's 3 * depth + 2
       groups, which forward lists before its first draw.
 
-    Exact int arithmetic on the shapes of _shapes, so its cost does not grow
+    Exact int arithmetic on the shapes of _group_shapes, so its cost does not grow
     with depth and no size overflows; a test witnesses it with tracemalloc. The
     object terms were measured on one interpreter and numpy (see their constants),
     so that witness holds for those versions.
@@ -472,7 +480,7 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int) -> int:
     hidden, inter = config.arch.hidden, config.arch.intermediate
     buffer = np.getbufsize()
     sequence = seq * hidden
-    bounds = _feed_forward_bounds(seq, inter + hidden)
+    bounds = _feed_forward_bounds(batch * seq, inter + hidden)
     block = max(stop - start for start, stop in itertools.pairwise(bounds))
     widened, narrowed = block * inter, block * hidden
 
@@ -485,7 +493,7 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int) -> int:
             narrowed + norm(block)),
     )
     elements = _largest_group(config) + batch * sequence + max(steps)
-    return 8 * elements + _CALL_OBJECT_BYTES + _LAYOUT_GROUP_BYTES * (2 * config.arch.depth + 2)
+    return 8 * elements + _CALL_OBJECT_BYTES + _LAYOUT_GROUP_BYTES * (3 * config.arch.depth + 2)
 
 
 def count_instantiated_params(net: ToyNet) -> int:
@@ -548,36 +556,42 @@ def _attention_block(x, weights, heads: int, eps: float, stats):
     return layer_norm(h, scale, shift, eps, out=h)
 
 
-def _encoder_block(x, weights, eps: float):
-    """An encoder layer's feed-forward half, as _attention_block runs it: widen,
-    gelu, narrow plus x, then the second layer_norm. perfbench's tracer patches
-    this name."""
+def _encoder_block(x, groups, eps: float):
+    """An encoder layer's feed-forward half over a block of rows, as _attention_block
+    runs it: widen, gelu, narrow plus x, then the second layer_norm. `groups` is an
+    iterator of the layer's widen group, then its narrow group; a streamed net draws
+    the second over the first, so each is taken only when its matmul comes.
+    perfbench's tracer patches this name."""
+    weights = next(groups)
     h = x @ weights["intermediate.weight"]
     h += weights["intermediate.bias"]
     h = gelu(h, out=h)
+    weights = next(groups)
     h = h @ weights["projection.weight"]
     h += weights["projection.bias"]
     h += x
     return layer_norm(h, weights["output_norm.scale"], weights["output_norm.shift"], eps, out=h)
 
 
-def _groups(net: ToyNet):
-    """Each group of _layout's arrays, by name within the group, in stream order.
+def _groups(net: ToyNet, layout=None, flat=None):
+    """The arrays of each group of `layout` (by default every group of _layout), by
+    name within the group, in turn.
 
-    A fully built net lends its own. A streamed net's groups are drawn in turn
-    into views of one flat buffer, sized for the largest group, that this
-    generator allocates once and refills; so one group is held at a time, each
-    forward call has its own buffer and the net itself is never written. The
+    A fully built net lends its own. A streamed net's groups are drawn in turn into
+    views of one flat buffer, sized for the largest group: `flat`, or one that this
+    generator allocates once. Each draw refills it, so one group is held at a time,
+    each forward call has its own buffer and the net itself is never written. The
     token table, which leads the stream, is left out of the embedding's group:
     forward draws each row it reads.
     """
-    layout = _layout(net.config)
-    if net.weights:
-        for prefix, shapes, _ in layout:
-            yield {name: net.weights[f"{prefix}.{name}"] for name, _ in shapes}
-        return
-    flat = np.empty(_largest_group(net.config))
+    if layout is None:
+        layout = _layout(net.config)
+    if not net.weights and flat is None:
+        flat = np.empty(_largest_group(net.config))
     for prefix, shapes, start in layout:
+        if net.weights:
+            yield {name: net.weights[f"{prefix}.{name}"] for name, _ in shapes}
+            continue
         walked = _walk(shapes, start)
         arrays, stretches = _carve(walked[1:] if prefix == "embedding" else walked, flat)
         _draw(net.config.seed, stretches)
@@ -595,20 +609,23 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
     eps, hidden = cfg.layernorm_eps, cfg.arch.hidden
     tokens = check_tokens(tokens, cfg.emb)
 
-    # Group-major: every sequence passes a group of weights before any passes
-    # the next, each kept in its own output row between groups. Every step
-    # works per sequence, per row or, in the feed-forward half, per block of
-    # _feed_forward_bounds' rows of a sequence, so the bits match the
-    # whole-batch pipeline wherever a block keeps a gemm's bits (see
-    # _ROW_PANEL), only the output grows with the batch and only one group
-    # need be held. Nothing but the output and the flat buffer outlives its
-    # group.
+    # The embedding, each attention half and the pooler run group-major: every
+    # sequence passes the group before any passes the next, each kept in its own
+    # output row between groups. The feed-forward half runs block-major over
+    # _feed_forward_bounds' rows of the whole batch, its sequences end to end, so
+    # a block may span sequences: each block passes the widen group, then the
+    # narrow group, which a streamed net draws once per block. So the bits match
+    # the whole-batch pipeline wherever a block keeps a gemm's bits (see
+    # _ROW_PANEL), only the output grows with the batch and only one group need
+    # be held. Nothing but the output and the flat buffer outlives its group.
     # Position indices run 0..seq-1 and all type indices are 0.
     batch, seq = tokens.shape
-    bounds = _feed_forward_bounds(seq, cfg.arch.intermediate + hidden)
+    bounds = _feed_forward_bounds(batch * seq, cfg.arch.intermediate + hidden)
     out = np.empty((batch, seq, hidden))
-    groups = _groups(net)
-    embedding = next(groups)
+    rows = out.reshape(-1, hidden)
+    layout = _layout(cfg)
+    flat = None if net.weights else np.empty(_largest_group(cfg))
+    (embedding,) = _groups(net, layout[:1], flat)
     for ids, row in zip(tokens, out):
         if net.weights:
             np.take(embedding["token_table"], ids, axis=0, out=row)
@@ -617,15 +634,14 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
         row += embedding["position_table"][:seq]
         row += embedding["type_table"][0]
         layer_norm(row, embedding["norm.scale"], embedding["norm.shift"], eps, out=row)
-    for _ in range(cfg.arch.depth):
-        half = next(groups)
+    for first in range(1, 3 * cfg.arch.depth, 3):
+        (half,) = _groups(net, layout[first : first + 1], flat)
         for row in out:
             row[...] = _attention_block(row, half, cfg.arch.heads, eps, stats)
-        half = next(groups)
-        for row in out:
-            for start, stop in itertools.pairwise(bounds):
-                row[start:stop] = _encoder_block(row[start:stop], half, eps)
-    pooler = next(groups)
+        for start, stop in itertools.pairwise(bounds):
+            feed_forward = _groups(net, layout[first + 1 : first + 3], flat)
+            rows[start:stop] = _encoder_block(rows[start:stop], feed_forward, eps)
+    (pooler,) = _groups(net, layout[-1:], flat)
     pooled = np.empty((seq, hidden))
     for row in out:
         np.matmul(row, pooler["weight"], out=pooled)

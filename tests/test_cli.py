@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BORT, GRID_AXES, ROBERTA_EMB, write_config
-from subarch import cli, costs, toynet
+from subarch import cli, costs, engine, toynet
 from subarch.cli import main
 from subarch.config import KNOWN_KEYS
 from subarch.space import ArchParams, EmbeddingConfig
@@ -561,8 +561,9 @@ class TestToyForward:
 
     def test_weights_beyond_physical_memory_stream_within_it(self, tmp_path, capsys, monkeypatch):
         # <90,16,1024,4096> has 8.5 GiB of float64 weights, but its streamed forward
-        # holds one 64 MiB feed-forward half at a time: it runs in 1 GiB. Each group
-        # is filled with a constant, not drawn, to keep the test fast.
+        # holds one 32 MiB group at a time: it runs in 1 GiB. Each group is filled
+        # with a constant, not drawn, to keep the test fast; the 8 rows are one
+        # feed-forward block, so each layer fills three groups.
         monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
         fills = []
 
@@ -581,7 +582,7 @@ class TestToyForward:
         doc = json.loads(out)
         assert doc["output_shape"] == [1, 8, 1024]
         assert doc["instantiated_params"] * 8 > 8 * 2**30
-        assert len(fills) == 2 * 90 + 2
+        assert len(fills) == 3 * 90 + 2
 
     def test_a_group_beyond_physical_memory_exits_2_before_drawing(self, tmp_path, capsys,
                                                                     monkeypatch):
@@ -787,6 +788,20 @@ class TestMappedFailures:
         path = tmp_path / "tokens.txt"
         path.write_text(text)
         return str(path)
+
+    @pytest.mark.parametrize("command,module", [("enumerate", cli), ("rank", engine)])
+    @pytest.mark.parametrize("epsilon,points", [(1, "360"), (2, "36")])
+    def test_grid_that_does_not_fit_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                            module, epsilon, points):
+        # The demo grid has 360 points; a stride of 2 keeps 3 x 2 x 2 x 3 of them.
+        def out_of_memory(space):
+            raise MemoryError
+
+        monkeypatch.setattr(module, "enumerate_space", out_of_memory)
+        cfg = write_config(tmp_path / "c.json", **GRID_AXES, epsilon=epsilon)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err == f"config error: the grid of {points} points does not fit in memory\n"
 
     def test_override_beyond_the_int_digit_limit_names_the_key(self, capsys):
         code, out, err = run_cli(

@@ -19,6 +19,7 @@ from subarch.costs import param_count, shape_oracle_params
 from subarch.errors import ConfigError, DataError
 from subarch.space import ArchParams, EmbeddingConfig
 from subarch.toynet import (
+    GELU_CUBIC,
     ForwardStats,
     ToyNet,
     ToyNetConfig,
@@ -247,9 +248,12 @@ class TestForward:
         out = forward(ToyNet(net.config, weights), tokens)
         assert np.all(np.isfinite(out))
 
-    def test_memory_grows_with_the_batch_only_by_the_output_rows(self):
+    def test_memory_grows_with_the_batch_only_by_the_output_rows(self, monkeypatch):
         # One sequence's activations (its 64x128 widen buffer alone is 64 KiB)
-        # are live at a time; the whole-batch pipeline held every sequence's.
+        # are live at a time; the whole-batch pipeline held every sequence's. The
+        # feed-forward budget is lowered to one sequence's rows, so that at both
+        # batch sizes a row block of the batch is 64 rows.
+        monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", 64 * (32 + 128))
         cfg = ToyNetConfig(arch=ArchParams(2, 2, 32, 128), emb=EmbeddingConfig(50, 64, 64, 1))
         net = ToyNet.build(cfg)
         tokens = np.random.default_rng(2).integers(0, 50, size=(4, 64))
@@ -792,14 +796,14 @@ class TestDrawnTokenRows:
         [[[-1, 2]], [[0, 32]], [0, 1], [[0.0, 1.0]], [[True]]],
         ids=["negative", "vocab", "one_axis", "float", "bool"],
     )
-    def test_build_rejects_other_token_ids(self, tokens):
+    def test_forward_rejects_other_token_ids(self, tokens):
         with pytest.raises(DataError) as from_streamed:
             forward(ToyNet.build(SMALL, streamed=True), np.array(tokens))
         with pytest.raises(DataError) as from_full:
             forward(ToyNet.build(SMALL), np.array(tokens))
         assert str(from_streamed.value) == str(from_full.value)
 
-    def test_build_rejects_an_unsigned_id_beyond_int64(self, monkeypatch):
+    def test_forward_rejects_an_unsigned_id_beyond_int64(self, monkeypatch):
         cfg = ToyNetConfig(arch=SMALL.arch, emb=EmbeddingConfig(10**20, 16, 2, 1))
         net = ToyNet.build(cfg, streamed=True)
         tokens = np.array([[0, 2**62], [7, 2**63 + 5]], dtype=np.uint64)
@@ -816,7 +820,7 @@ class TestDrawnTokenRows:
         stream.bit_generator.advance(2**65)
         assert rows[1][1].tobytes() == (stream.random(8) - 0.5).tobytes()
 
-    def test_build_seeds_one_generator_per_chunk_not_per_row(self, monkeypatch):
+    def test_forward_seeds_one_generator_per_chunk_not_per_row(self, monkeypatch):
         # One generator per draw chunk of each group and one per sequence's token rows.
         monkeypatch.setattr(toynet, "_FILL_CHUNK", 4096)
         seeded = []
@@ -942,11 +946,12 @@ class TestStreamedLayers:
     @pytest.mark.parametrize("arch", [ArchParams(2, 2, 64, 256), ArchParams(2, 2, 64, 64)],
                              ids=["feed_forward_larger", "attention_larger"])
     def test_forward_holds_one_group_not_a_layer(self, arch):
-        # The bytes of a layer's attention and feed-forward halves; the embedding
-        # and pooler groups are smaller than either.
+        # The bytes of a layer's attention half, widen group and narrow group; the
+        # embedding and pooler groups are smaller than the largest of them.
         hidden, inter = arch.hidden, arch.intermediate
-        halves = [(4 * (hidden + 1) * hidden + 2 * hidden) * 8,
-                  (2 * hidden * inter + inter + 3 * hidden) * 8]
+        groups = [(4 * (hidden + 1) * hidden + 2 * hidden) * 8,
+                  (hidden * inter + inter) * 8,
+                  (inter * hidden + 3 * hidden) * 8]
         cfg = ToyNetConfig(arch=arch, emb=EmbeddingConfig(50, 8, 8, 1))
         tokens = np.random.default_rng(8).integers(0, 50, size=(2, 8))
         net = ToyNet.build(cfg, streamed=True)
@@ -956,7 +961,7 @@ class TestStreamedLayers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert max(halves) <= peak < sum(halves)
+        assert max(groups) <= peak < sum(groups)
 
     # The first two examples' bound is broken by an activation the size of one
     # sequence (seq x hidden) held across groups: a feed-forward-larger and an
@@ -1045,8 +1050,8 @@ def block_budget(seq: int, blocks: int, width: int) -> int:
 
 
 class TestFeedForwardBlocks:
-    """forward runs each sequence's feed-forward half in near-equal row blocks of
-    whole panels, with the unsplit half's bits."""
+    """forward runs the feed-forward half of the batch's rows in near-equal row blocks
+    of whole panels, with the unsplit half's bits."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1073,31 +1078,32 @@ class TestFeedForwardBlocks:
             assert sizes[0] <= max(fit // panel, 1) * panel
             assert len(sizes) <= -(-seq // (max(fit // panel, 1) * panel))
 
-    def test_the_benchmark_sequence_is_two_blocks_of_256_rows(self):
-        # 512 x (3,072 + 768) = 1,966,080 elements, against a budget of 2^20.
-        assert toynet._feed_forward_bounds(512, 3072 + 768) == [0, 256, 512]
-        assert toynet._feed_forward_bounds(273, 3840) == [0, 273]  # 1,048,320 elements
-        assert toynet._feed_forward_bounds(274, 3840) == [0, 144, 274]
+    def test_the_benchmark_batch_is_two_blocks_of_512_rows(self):
+        # 2 x 512 x (3,072 + 768) = 3,932,160 elements, against a budget of 2^21.
+        assert toynet._feed_forward_bounds(2 * 512, 3072 + 768) == [0, 512, 1024]
+        assert toynet._feed_forward_bounds(546, 3840) == [0, 546]  # 2,096,640 elements
+        assert toynet._feed_forward_bounds(547, 3840) == [0, 288, 547]
         assert toynet._feed_forward_bounds(1, 10**7) == [0, 1]
         # One panel fits: the row left over joins the block before it.
-        assert toynet._feed_forward_bounds(17, 10**5) == [0, 17]
-        assert toynet._feed_forward_bounds(33, 10**5) == [0, 16, 33]
-        assert toynet._feed_forward_bounds(34, 10**5) == [0, 16, 32, 34]
+        assert toynet._feed_forward_bounds(17, 2 * 10**5) == [0, 17]
+        assert toynet._feed_forward_bounds(33, 2 * 10**5) == [0, 16, 33]
+        assert toynet._feed_forward_bounds(34, 2 * 10**5) == [0, 16, 32, 34]
 
     @pytest.mark.parametrize(
         "seq,batch,splits", [(64, 2, (2, 3)), (63, 2, (2, 3)), (512, 1, (2, 3, 5, 8, 16, 32))]
     )
     def test_forced_splits_give_the_unsplit_bits(self, seq, batch, splits, monkeypatch):
         # hidden 768 and intermediate 3072: the benchmark net's shapes, unsplit under
-        # a budget of the whole sequence. The lowered budgets make 2 to 32 blocks, the
-        # last of 63 rows one row short of a panel.
+        # a budget of the whole batch. The lowered budgets make 2 to 32 blocks of a
+        # sequence's length over the batch's rows end to end; at 63 rows a sequence
+        # ends one row short of a panel, and blocks cross from one into the next.
         cfg = ToyNetConfig(arch=ArchParams(2, 12, 768, 3072), emb=EmbeddingConfig(90, seq, seq, 1),
                            seed=5)
         tokens = np.random.default_rng(seq).integers(0, 90, size=(batch, seq))
         net = ToyNet.build(cfg, streamed=True)
         width = 768 + 3072
-        monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", seq * width)
-        assert toynet._feed_forward_bounds(seq, width) == [0, seq]
+        monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", batch * seq * width)
+        assert toynet._feed_forward_bounds(batch * seq, width) == [0, batch * seq]
         unsplit, unsplit_stats = forward_with_stats(net, tokens)
         calls = []
         block = toynet._encoder_block
@@ -1110,15 +1116,15 @@ class TestFeedForwardBlocks:
         counts = set()
         for blocks in splits:
             monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", block_budget(seq, blocks, width))
-            count = len(toynet._feed_forward_bounds(seq, width)) - 1
+            count = len(toynet._feed_forward_bounds(batch * seq, width)) - 1
             calls.clear()
             out, stats = forward_with_stats(net, tokens)
-            assert len(calls) == 2 * batch * count  # layers x sequences x blocks
+            assert len(calls) == 2 * count  # layers x blocks
             assert min(calls) >= 2 and sum(calls) == 2 * batch * seq
             assert out.tobytes() == unsplit.tobytes()
             assert stats.softmax_row_dev.hex() == unsplit_stats.softmax_row_dev.hex()
             counts.add(count)
-        assert min(counts) == 2 and max(counts) == min(32, -(-seq // 16))
+        assert min(counts) == 2 * batch and max(counts) == batch * min(32, -(-seq // 16))
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1149,10 +1155,81 @@ class TestFeedForwardBlocks:
         assert bound - peak <= np.getbufsize() * 8
 
 
+def reference_forward(net: ToyNet, tokens) -> np.ndarray:
+    """The whole-batch pipeline as plain expressions on a built net's arrays: every
+    step over all sequences at once, attention over all heads at once, and each
+    feed-forward product over the batch's rows unsplit."""
+    w, cfg = net.weights, net.config
+    hidden, seq = cfg.arch.hidden, tokens.shape[1]
+
+    def norm(x, name):
+        mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        return (x - mean) / np.sqrt(var + cfg.layernorm_eps) * w[f"{name}.scale"] + w[f"{name}.shift"]
+
+    x = (w["embedding.token_table"][tokens] + w["embedding.position_table"][:seq]
+         + w["embedding.type_table"][0])
+    x = norm(x, "embedding.norm")
+    for index in range(cfg.arch.depth):
+        layer = f"encoder.{index}"
+        pairs = [(w[f"{layer}.attention.{proj}.weight"], w[f"{layer}.attention.{proj}.bias"])
+                 for proj in ("query", "key", "value")]
+        h = batched_attention(x, *pairs, heads=cfg.arch.heads)
+        h = h @ w[f"{layer}.attention.output.weight"] + w[f"{layer}.attention.output.bias"] + x
+        rows = norm(h, f"{layer}.attention_norm").reshape(-1, hidden)
+        h = rows @ w[f"{layer}.intermediate.weight"] + w[f"{layer}.intermediate.bias"]
+        h = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (h + GELU_CUBIC * (h * h * h))))
+        h = h @ w[f"{layer}.projection.weight"] + w[f"{layer}.projection.bias"] + rows
+        x = norm(h, f"{layer}.output_norm").reshape(x.shape)
+    return np.tanh(x @ w["pooler.weight"] + w["pooler.bias"])
+
+
+class TestFeedForwardGroups:
+    """A streamed forward holds a layer's feed-forward half as two groups, widen then
+    narrow, drawn once per row block of the batch into a buffer sized for the
+    attention half."""
+
+    BENCHMARK = ToyNetConfig(arch=ArchParams(4, 12, 768, 3072),
+                             emb=EmbeddingConfig(50_265, 514, 512, 1))
+
+    def test_the_largest_group_is_the_attention_half(self):
+        cfg = self.BENCHMARK
+        layout = toynet._layout(cfg)
+        assert len(layout) == 3 * 4 + 2
+        assert [[name for name, _ in shapes] for _, shapes, _ in layout[1:4]] == [
+            [name for name, _ in toynet._shapes(cfg)[1]],
+            ["intermediate.weight", "intermediate.bias"],
+            ["projection.weight", "projection.bias", "output_norm.scale", "output_norm.shift"],
+        ]
+        sizes = [toynet._size(shapes) for _, shapes, _ in layout[1:4]]
+        assert sizes == [2_363_904, 2_362_368, 2_361_600]
+        assert toynet._largest_group(cfg) == 4 * 768 * 768 + 6 * 768 == 2_363_904
+
+    def test_the_benchmark_forward_holds_14_mib_less(self):
+        # Against 55,708,928 bytes with the feed-forward half as one 36 MiB group.
+        held = toynet.streamed_forward_bytes(self.BENCHMARK, 2, 512)
+        assert held == 40_949_504 <= 55_708_928 - 13 * 2**20
+
+    def test_blocks_that_cross_sequences_give_the_reference_bits(self, monkeypatch):
+        # 3 x 300 rows of width 64 + 3,072 run as blocks [0, 464) and [464, 900), each
+        # spanning a sequence boundary; each block draws the widen and narrow groups.
+        cfg = ToyNetConfig(arch=ArchParams(2, 2, 64, 3072), emb=EmbeddingConfig(500, 300, 300, 1),
+                           seed=9)
+        tokens = np.random.default_rng(300).integers(0, 500, size=(3, 300))
+        assert toynet._feed_forward_bounds(900, 64 + 3072) == [0, 464, 900]
+        expected = reference_forward(ToyNet.build(cfg), tokens)
+        draws = []
+        draw = toynet._draw
+        monkeypatch.setattr(toynet, "_draw", lambda seed, stretches: draws.append(seed)
+                            or draw(seed, stretches))
+        out = forward(ToyNet.build(cfg, streamed=True), tokens)
+        assert out.tobytes() == expected.tobytes()
+        assert len(draws) == 1 + 2 * (1 + 2 * 2) + 1  # embedding, layers, pooler
+
+
 class TestTracerContract:
     """perfbench/spans.py times the kernels by patching their module names, and its
     tracer is not thread-safe: each must be called through that name, from the caller's
-    thread, once per sequence, layer and head as the trace expects."""
+    thread, once per sequence, layer, head or row block as the trace expects."""
 
     def test_kernel_calls_and_their_thread(self, eight_workers, monkeypatch):
         monkeypatch.setattr(toynet, "_GELU_BLOCK", 24)  # many gelu blocks, all on this thread
@@ -1171,7 +1248,7 @@ class TestTracerContract:
         tokens = np.random.default_rng(7).integers(0, 40, size=(2, 8))
         forward(ToyNet.build(cfg, streamed=True), tokens)
         assert Counter(name for name, _ in calls) == {
-            "softmax": 12, "layer_norm": 10, "gelu": 4, "attention": 4, "_encoder_block": 4
+            "softmax": 12, "layer_norm": 8, "gelu": 2, "attention": 4, "_encoder_block": 2
         }
         assert {thread for _, thread in calls} == {threading.get_ident()}
 
