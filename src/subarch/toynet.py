@@ -10,6 +10,7 @@ determines the weights.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -45,22 +46,43 @@ def _block_rows(width: int) -> int:
     return max(1, _GELU_BLOCK // max(width, 1))
 
 
-def _feed_forward_bounds(rows: int, width: int) -> list[int]:
-    """Row bounds 0, ..., rows of the blocks that forward runs the feed-forward
-    half of a batch's rows in, its sequences laid end to end. Rows within
-    _FEED_FORWARD_BLOCK elements of the given width, or within one _ROW_PANEL,
-    are one block. Otherwise the blocks are near-equal in whole panels, each
-    within the budget (or one panel where less fits), and the last takes the
-    rest. A last block of one row joins the block before it: a one-row matmul
-    takes numpy's vector path, whose bits differ from a multi-row gemm's.
+def _feed_forward_bounds(seq: int, width: int) -> list[int]:
+    """Row bounds 0, ..., seq of the blocks that forward runs a sequence's
+    feed-forward half in. A sequence within _FEED_FORWARD_BLOCK elements of the
+    given width, or within one _ROW_PANEL, is one block. Otherwise the blocks
+    are near-equal in whole panels, each within the budget (or one panel where
+    less fits), and the last takes the rest. A last block of one row joins the
+    block before it: a one-row matmul takes numpy's vector path, whose bits
+    differ from a multi-row gemm's.
     """
     fit = _FEED_FORWARD_BLOCK // max(width, 1)
-    if rows <= max(fit, _ROW_PANEL):
-        return [0, rows]
+    if seq <= max(fit, _ROW_PANEL):
+        return [0, seq]
     most = max(1, fit // _ROW_PANEL) * _ROW_PANEL
-    size = -(-rows // -(-rows // most))  # the fewest blocks of at most `most` rows, near-equal
+    size = -(-seq // -(-seq // most))  # the fewest blocks of at most `most` rows, near-equal
     size = -(-size // _ROW_PANEL) * _ROW_PANEL
-    return [*range(0, rows - 1, size), rows]
+    return [*range(0, seq - 1, size), seq]
+
+
+def _batch_bounds(config: ToyNetConfig, batch: int, seq: int) -> list[int]:
+    """Row bounds 0, ..., batch * seq of the blocks that forward runs the feed-forward
+    half of the batch in, its sequences laid end to end. No block spans two
+    sequences. A sequence that _feed_forward_bounds splits runs in those blocks.
+    Otherwise each block is a run of whole sequences, near-equal, as many as fit
+    within _FEED_FORWARD_BLOCK elements and within the largest group, or within
+    one _ROW_PANEL, one at least: so a block holds no more than the flat buffer
+    unless it is one sequence or one panel, and none has one row unless the
+    batch has one token.
+    """
+    width = config.arch.intermediate + config.arch.hidden
+    within = _feed_forward_bounds(seq, width)
+    if len(within) > 2:
+        return [*(index * seq + start for index in range(batch) for start in within[:-1]),
+                batch * seq]
+    fit = min(_FEED_FORWARD_BLOCK, _largest_group(config)) // width
+    most = max(1, max(fit, _ROW_PANEL) // seq)
+    size = seq * -(-batch // -(-batch // most))  # the fewest runs of at most `most`, near-equal
+    return [*range(0, batch * seq, size), batch * seq]
 
 
 def _workers() -> int:
@@ -371,7 +393,7 @@ def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, 
     _group_shapes gives them: 3 * depth + 2 groups.
 
     A group's arrays lie end to end in the stream from its offset (see _walk).
-    build carves every group, _groups every group but the token table, and
+    build carves every group, _group every group but the token table, and
     count_instantiated_params sizes a streamed net's.
     """
     embedding, *layer, pooler = _group_shapes(config)
@@ -384,7 +406,7 @@ def _layout(config: ToyNetConfig) -> list[tuple[str, list[tuple[str, tuple[int, 
 
 def _largest_group(config: ToyNetConfig) -> int:
     """Elements of the largest group a streamed forward draws into its flat buffer:
-    the embedding's without its token table (see _groups), or another of _layout."""
+    the embedding's without its token table (see _group), or another of _layout."""
     embedding, *rest = _group_shapes(config)
     return max(_size(embedding[1:]), *map(_size, rest))
 
@@ -459,10 +481,10 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int) -> int:
         row reductions and buffer (each head's context goes into its q columns,
         and the output projection comes once k and v are freed), or its
         layer_norm;
-      - a feed-forward half, over the largest of _feed_forward_bounds' row
-        blocks of the batch: the block's widened activation with its bias
-        add's buffer or gelu's scratch, then (once the narrow group is drawn
-        over the widen group) with its narrowed activation, or its layer_norm;
+      - a feed-forward half, over the largest of _batch_bounds' row blocks:
+        the block's widened activation with its bias add's buffer or gelu's
+        scratch, then (once the narrow group is drawn over the widen group)
+        with its narrowed activation, or its layer_norm;
       where a layer_norm holds, beside its input, its block scratch, three row
       statistics and a buffer. The embedding's one step, a layer_norm on a row
       of the output, holds no more than an attention half's. The scratches are
@@ -480,7 +502,7 @@ def streamed_forward_bytes(config: ToyNetConfig, batch: int, seq: int) -> int:
     hidden, inter = config.arch.hidden, config.arch.intermediate
     buffer = np.getbufsize()
     sequence = seq * hidden
-    bounds = _feed_forward_bounds(batch * seq, inter + hidden)
+    bounds = _batch_bounds(config, batch, seq)
     block = max(stop - start for start, stop in itertools.pairwise(bounds))
     widened, narrowed = block * inter, block * hidden
 
@@ -558,44 +580,46 @@ def _attention_block(x, weights, heads: int, eps: float, stats):
 
 def _encoder_block(x, groups, eps: float):
     """An encoder layer's feed-forward half over a block of rows, as _attention_block
-    runs it: widen, gelu, narrow plus x, then the second layer_norm. `groups` is an
-    iterator of the layer's widen group, then its narrow group; a streamed net draws
-    the second over the first, so each is taken only when its matmul comes.
+    runs it: widen, gelu, narrow plus x, then the second layer_norm. `groups` holds
+    two calls that give the layer's widen group and its narrow group; a streamed
+    net draws the second over the first, so each is made when its matmul comes.
     perfbench's tracer patches this name."""
-    weights = next(groups)
+    widen, narrow = groups
+    weights = widen()
     h = x @ weights["intermediate.weight"]
     h += weights["intermediate.bias"]
     h = gelu(h, out=h)
-    weights = next(groups)
+    weights = narrow()
     h = h @ weights["projection.weight"]
     h += weights["projection.bias"]
     h += x
     return layer_norm(h, weights["output_norm.scale"], weights["output_norm.shift"], eps, out=h)
 
 
-def _groups(net: ToyNet, layout=None, flat=None):
-    """The arrays of each group of `layout` (by default every group of _layout), by
-    name within the group, in turn.
+def _group(net: ToyNet, entry, flat) -> dict:
+    """The arrays of one group of _layout, by name within the group.
 
-    A fully built net lends its own. A streamed net's groups are drawn in turn into
-    views of one flat buffer, sized for the largest group: `flat`, or one that this
-    generator allocates once. Each draw refills it, so one group is held at a time,
-    each forward call has its own buffer and the net itself is never written. The
-    token table, which leads the stream, is left out of the embedding's group:
-    forward draws each row it reads.
+    A fully built net lends its own. A streamed net's are drawn into views of
+    `flat`, a buffer sized for the largest group that each draw refills; so one
+    group is held at a time, each forward call has its own buffer and the net
+    itself is never written. The token table, which leads the stream, is left
+    out of the embedding's group: forward draws each row it reads.
     """
-    if layout is None:
-        layout = _layout(net.config)
-    if not net.weights and flat is None:
-        flat = np.empty(_largest_group(net.config))
-    for prefix, shapes, start in layout:
-        if net.weights:
-            yield {name: net.weights[f"{prefix}.{name}"] for name, _ in shapes}
-            continue
-        walked = _walk(shapes, start)
-        arrays, stretches = _carve(walked[1:] if prefix == "embedding" else walked, flat)
-        _draw(net.config.seed, stretches)
-        yield arrays
+    prefix, shapes, start = entry
+    if net.weights:
+        return {name: net.weights[f"{prefix}.{name}"] for name, _ in shapes}
+    walked = _walk(shapes, start)
+    arrays, stretches = _carve(walked[1:] if prefix == "embedding" else walked, flat)
+    _draw(net.config.seed, stretches)
+    return arrays
+
+
+def _groups(net: ToyNet):
+    """Each group of _layout in stream order, as _group gives it, a streamed net's
+    drawn in turn into one flat buffer allocated once."""
+    flat = None if net.weights else np.empty(_largest_group(net.config))
+    for entry in _layout(net.config):
+        yield _group(net, entry, flat)
 
 
 def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarray:
@@ -609,23 +633,23 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
     eps, hidden = cfg.layernorm_eps, cfg.arch.hidden
     tokens = check_tokens(tokens, cfg.emb)
 
-    # The embedding, each attention half and the pooler run group-major: every
-    # sequence passes the group before any passes the next, each kept in its own
-    # output row between groups. The feed-forward half runs block-major over
-    # _feed_forward_bounds' rows of the whole batch, its sequences end to end, so
-    # a block may span sequences: each block passes the widen group, then the
-    # narrow group, which a streamed net draws once per block. So the bits match
-    # the whole-batch pipeline wherever a block keeps a gemm's bits (see
-    # _ROW_PANEL), only the output grows with the batch and only one group need
-    # be held. Nothing but the output and the flat buffer outlives its group.
+    # Group-major: every sequence passes a group of weights before any passes
+    # the next, each kept in its own output row between groups. Every step
+    # works per sequence, per row or, in the feed-forward half, per block of
+    # _batch_bounds' rows, which never spans two sequences. Each block passes
+    # the widen group, then the narrow group, which a streamed net draws once
+    # per block. So the bits match the whole-batch pipeline wherever a block
+    # keeps a gemm's bits (see _ROW_PANEL), the activations grow with the batch
+    # only up to the largest group and only one group need be held. Nothing but
+    # the output and the flat buffer outlives its group.
     # Position indices run 0..seq-1 and all type indices are 0.
     batch, seq = tokens.shape
-    bounds = _feed_forward_bounds(batch * seq, cfg.arch.intermediate + hidden)
+    bounds = _batch_bounds(cfg, batch, seq)
     out = np.empty((batch, seq, hidden))
     rows = out.reshape(-1, hidden)
     layout = _layout(cfg)
     flat = None if net.weights else np.empty(_largest_group(cfg))
-    (embedding,) = _groups(net, layout[:1], flat)
+    embedding = _group(net, layout[0], flat)
     for ids, row in zip(tokens, out):
         if net.weights:
             np.take(embedding["token_table"], ids, axis=0, out=row)
@@ -635,13 +659,14 @@ def forward(net: ToyNet, tokens, stats: ForwardStats | None = None) -> np.ndarra
         row += embedding["type_table"][0]
         layer_norm(row, embedding["norm.scale"], embedding["norm.shift"], eps, out=row)
     for first in range(1, 3 * cfg.arch.depth, 3):
-        (half,) = _groups(net, layout[first : first + 1], flat)
+        half = _group(net, layout[first], flat)
         for row in out:
             row[...] = _attention_block(row, half, cfg.arch.heads, eps, stats)
+        feed_forward = [functools.partial(_group, net, entry, flat)
+                        for entry in layout[first + 1 : first + 3]]
         for start, stop in itertools.pairwise(bounds):
-            feed_forward = _groups(net, layout[first + 1 : first + 3], flat)
             rows[start:stop] = _encoder_block(rows[start:stop], feed_forward, eps)
-    (pooler,) = _groups(net, layout[-1:], flat)
+    pooler = _group(net, layout[-1], flat)
     pooled = np.empty((seq, hidden))
     for row in out:
         np.matmul(row, pooler["weight"], out=pooled)

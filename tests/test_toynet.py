@@ -248,12 +248,9 @@ class TestForward:
         out = forward(ToyNet(net.config, weights), tokens)
         assert np.all(np.isfinite(out))
 
-    def test_memory_grows_with_the_batch_only_by_the_output_rows(self, monkeypatch):
+    def test_memory_grows_with_the_batch_only_by_the_output_rows(self):
         # One sequence's activations (its 64x128 widen buffer alone is 64 KiB)
-        # are live at a time; the whole-batch pipeline held every sequence's. The
-        # feed-forward budget is lowered to one sequence's rows, so that at both
-        # batch sizes a row block of the batch is 64 rows.
-        monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", 64 * (32 + 128))
+        # are live at a time; the whole-batch pipeline held every sequence's.
         cfg = ToyNetConfig(arch=ArchParams(2, 2, 32, 128), emb=EmbeddingConfig(50, 64, 64, 1))
         net = ToyNet.build(cfg)
         tokens = np.random.default_rng(2).integers(0, 50, size=(4, 64))
@@ -821,18 +818,22 @@ class TestDrawnTokenRows:
         assert rows[1][1].tobytes() == (stream.random(8) - 0.5).tobytes()
 
     def test_forward_seeds_one_generator_per_chunk_not_per_row(self, monkeypatch):
-        # One generator per draw chunk of each group and one per sequence's token rows.
+        # One generator per draw chunk of each group draw and one per sequence's token
+        # rows. The feed-forward half runs in blocks of two sequences, and each block
+        # draws the layer's widen and narrow groups.
         monkeypatch.setattr(toynet, "_FILL_CHUNK", 4096)
         seeded = []
         monkeypatch.setattr(np.random, "PCG64", lambda s: seeded.append(s) or PCG64(s))
         cfg = ToyNetConfig(arch=ArchParams(2, 2, 16, 32), emb=EmbeddingConfig(5000, 16, 10, 1))
         ids = np.random.default_rng(4).choice(5000, size=1000, replace=False)
         forward(ToyNet.build(cfg, streamed=True), ids.reshape(100, 10))
+        blocks = len(toynet._batch_bounds(cfg, 100, 10)) - 1
+        draws = [1] + [1, blocks, blocks] * cfg.arch.depth + [1]
         chunks = sum(
-            -(-toynet._size(shapes[1:] if prefix == "embedding" else shapes) // 4096)
-            for prefix, shapes, _ in toynet._layout(cfg)
+            count * -(-toynet._size(shapes[1:] if prefix == "embedding" else shapes) // 4096)
+            for count, (prefix, shapes, _) in zip(draws, toynet._layout(cfg))
         )
-        assert len(seeded) == chunks + 100 < 120
+        assert blocks == 50 and len(seeded) == chunks + 100 < 1000
 
     def test_memory_holds_the_drawn_rows_not_the_table(self):
         # The 50,265 x 64 token table is 24.5 MiB; a streamed forward holds none of it.
@@ -927,7 +928,9 @@ class TestStreamedLayers:
         assert count_instantiated_params(net) == param_count(cfg.arch, cfg.emb)
 
     def test_forward_holds_one_layer_at_a_time(self):
-        # One layer of this net is 12,704 doubles (99 KiB); a deeper net adds none.
+        # One layer of this net is 12,704 doubles (99 KiB) and its largest group, the
+        # attention half, 4,288; the forward holds less than a layer, and a deeper net
+        # adds none.
         emb = EmbeddingConfig(50, 16, 16, 1)
         tokens = np.random.default_rng(3).integers(0, 50, size=(2, 16))
         peaks = {}
@@ -940,7 +943,7 @@ class TestStreamedLayers:
                 peaks[depth] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[2] > 12_704 * 8
+        assert 4_288 * 8 < peaks[2] < 12_704 * 8
         assert peaks[6] - peaks[2] <= 8192
 
     @pytest.mark.parametrize("arch", [ArchParams(2, 2, 64, 256), ArchParams(2, 2, 64, 64)],
@@ -1050,8 +1053,8 @@ def block_budget(seq: int, blocks: int, width: int) -> int:
 
 
 class TestFeedForwardBlocks:
-    """forward runs the feed-forward half of the batch's rows in near-equal row blocks
-    of whole panels, with the unsplit half's bits."""
+    """forward runs each sequence's feed-forward half in near-equal row blocks of
+    whole panels, with the unsplit half's bits."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1078,9 +1081,9 @@ class TestFeedForwardBlocks:
             assert sizes[0] <= max(fit // panel, 1) * panel
             assert len(sizes) <= -(-seq // (max(fit // panel, 1) * panel))
 
-    def test_the_benchmark_batch_is_two_blocks_of_512_rows(self):
-        # 2 x 512 x (3,072 + 768) = 3,932,160 elements, against a budget of 2^21.
-        assert toynet._feed_forward_bounds(2 * 512, 3072 + 768) == [0, 512, 1024]
+    def test_the_benchmark_sequence_is_one_block(self):
+        # 512 x (3,072 + 768) = 1,966,080 elements, against a budget of 2^21.
+        assert toynet._feed_forward_bounds(512, 3072 + 768) == [0, 512]
         assert toynet._feed_forward_bounds(546, 3840) == [0, 546]  # 2,096,640 elements
         assert toynet._feed_forward_bounds(547, 3840) == [0, 288, 547]
         assert toynet._feed_forward_bounds(1, 10**7) == [0, 1]
@@ -1094,16 +1097,15 @@ class TestFeedForwardBlocks:
     )
     def test_forced_splits_give_the_unsplit_bits(self, seq, batch, splits, monkeypatch):
         # hidden 768 and intermediate 3072: the benchmark net's shapes, unsplit under
-        # a budget of the whole batch. The lowered budgets make 2 to 32 blocks of a
-        # sequence's length over the batch's rows end to end; at 63 rows a sequence
-        # ends one row short of a panel, and blocks cross from one into the next.
+        # a budget of the whole sequence. The lowered budgets make 2 to 32 blocks, the
+        # last of 63 rows one row short of a panel.
         cfg = ToyNetConfig(arch=ArchParams(2, 12, 768, 3072), emb=EmbeddingConfig(90, seq, seq, 1),
                            seed=5)
         tokens = np.random.default_rng(seq).integers(0, 90, size=(batch, seq))
         net = ToyNet.build(cfg, streamed=True)
         width = 768 + 3072
-        monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", batch * seq * width)
-        assert toynet._feed_forward_bounds(batch * seq, width) == [0, batch * seq]
+        monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", seq * width)
+        assert toynet._feed_forward_bounds(seq, width) == [0, seq]
         unsplit, unsplit_stats = forward_with_stats(net, tokens)
         calls = []
         block = toynet._encoder_block
@@ -1116,15 +1118,15 @@ class TestFeedForwardBlocks:
         counts = set()
         for blocks in splits:
             monkeypatch.setattr(toynet, "_FEED_FORWARD_BLOCK", block_budget(seq, blocks, width))
-            count = len(toynet._feed_forward_bounds(batch * seq, width)) - 1
+            count = len(toynet._feed_forward_bounds(seq, width)) - 1
             calls.clear()
             out, stats = forward_with_stats(net, tokens)
-            assert len(calls) == 2 * count  # layers x blocks
+            assert len(calls) == 2 * batch * count  # layers x sequences x blocks
             assert min(calls) >= 2 and sum(calls) == 2 * batch * seq
             assert out.tobytes() == unsplit.tobytes()
             assert stats.softmax_row_dev.hex() == unsplit_stats.softmax_row_dev.hex()
             counts.add(count)
-        assert min(counts) == 2 * batch and max(counts) == batch * min(32, -(-seq // 16))
+        assert min(counts) == 2 and max(counts) == min(32, -(-seq // 16))
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1155,12 +1157,19 @@ class TestFeedForwardBlocks:
         assert bound - peak <= np.getbufsize() * 8
 
 
-def reference_forward(net: ToyNet, tokens) -> np.ndarray:
-    """The whole-batch pipeline as plain expressions on a built net's arrays: every
-    step over all sequences at once, attention over all heads at once, and each
-    feed-forward product over the batch's rows unsplit."""
+def reference_forward(net: ToyNet, tokens, bounds) -> np.ndarray:
+    """The pipeline as plain expressions on a built net's arrays: every step over all
+    sequences at once and attention over all heads at once, but the feed-forward
+    half over each run of the batch's rows between `bounds`. A product's bits may
+    follow its row count and the BLAS kernel's split of its rows between threads
+    (ROADMAP item 10), so the runs are those the forward's blocks take."""
     w, cfg = net.weights, net.config
     hidden, seq = cfg.arch.hidden, tokens.shape[1]
+
+    def feed_forward(rows, layer):
+        h = rows @ w[f"{layer}.intermediate.weight"] + w[f"{layer}.intermediate.bias"]
+        h = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (h + GELU_CUBIC * (h * h * h))))
+        return h @ w[f"{layer}.projection.weight"] + w[f"{layer}.projection.bias"] + rows
 
     def norm(x, name):
         mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
@@ -1176,9 +1185,8 @@ def reference_forward(net: ToyNet, tokens) -> np.ndarray:
         h = batched_attention(x, *pairs, heads=cfg.arch.heads)
         h = h @ w[f"{layer}.attention.output.weight"] + w[f"{layer}.attention.output.bias"] + x
         rows = norm(h, f"{layer}.attention_norm").reshape(-1, hidden)
-        h = rows @ w[f"{layer}.intermediate.weight"] + w[f"{layer}.intermediate.bias"]
-        h = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (h + GELU_CUBIC * (h * h * h))))
-        h = h @ w[f"{layer}.projection.weight"] + w[f"{layer}.projection.bias"] + rows
+        h = np.concatenate([feed_forward(rows[start:stop], layer)
+                            for start, stop in zip(bounds, bounds[1:])])
         x = norm(h, f"{layer}.output_norm").reshape(x.shape)
     return np.tanh(x @ w["pooler.weight"] + w["pooler.bias"])
 
@@ -1186,7 +1194,7 @@ def reference_forward(net: ToyNet, tokens) -> np.ndarray:
 class TestFeedForwardGroups:
     """A streamed forward holds a layer's feed-forward half as two groups, widen then
     narrow, drawn once per row block of the batch into a buffer sized for the
-    attention half."""
+    attention half; a block is a run of whole sequences or one sequence's block."""
 
     BENCHMARK = ToyNetConfig(arch=ArchParams(4, 12, 768, 3072),
                              emb=EmbeddingConfig(50_265, 514, 512, 1))
@@ -1206,17 +1214,46 @@ class TestFeedForwardGroups:
 
     def test_the_benchmark_forward_holds_14_mib_less(self):
         # Against 55,708,928 bytes with the feed-forward half as one 36 MiB group.
+        assert toynet._batch_bounds(self.BENCHMARK, 2, 512) == [0, 512, 1024]
         held = toynet.streamed_forward_bytes(self.BENCHMARK, 2, 512)
         assert held == 40_949_504 <= 55_708_928 - 13 * 2**20
 
-    def test_blocks_that_cross_sequences_give_the_reference_bits(self, monkeypatch):
-        # 3 x 300 rows of width 64 + 3,072 run as blocks [0, 464) and [464, 900), each
-        # spanning a sequence boundary; each block draws the widen and narrow groups.
-        cfg = ToyNetConfig(arch=ArchParams(2, 2, 64, 3072), emb=EmbeddingConfig(500, 300, 300, 1),
+    @settings(max_examples=300, deadline=None)
+    @given(batch=st.integers(1, 40), seq=st.integers(1, 600), hidden=st.integers(1, 96),
+           inter=st.integers(1, 3000), budget=st.sampled_from([2**12, 2**16, 2**21]))
+    def test_no_block_spans_two_sequences_or_outgrows_the_largest_group(
+            self, batch, seq, hidden, inter, budget):
+        cfg = ToyNetConfig(arch=ArchParams(2, 1, hidden, inter),
+                           emb=EmbeddingConfig(10, seq, seq, 1))
+        width = hidden + inter
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(toynet, "_FEED_FORWARD_BLOCK", budget)
+            bounds = toynet._batch_bounds(cfg, batch, seq)
+            within = toynet._feed_forward_bounds(seq, width)
+        assert bounds[0] == 0 and bounds[-1] == batch * seq
+        blocks = list(zip(bounds, bounds[1:]))
+        assert all(stop - start >= 2 for start, stop in blocks) or batch * seq == 1
+        if len(within) > 2:  # each sequence runs in its own blocks
+            assert bounds == [index * seq + start for index in range(batch)
+                              for start in within[:-1]] + [batch * seq]
+            return
+        assert all(bound % seq == 0 for bound in bounds)
+        fit = min(budget, toynet._largest_group(cfg)) // width
+        most = max(1, max(fit, toynet._ROW_PANEL) // seq)
+        runs = [(stop - start) // seq for start, stop in blocks]
+        assert max(runs) <= most and len(runs) == -(-batch // most)
+        assert set(runs[:-1]) <= {runs[0]} and runs[-1] <= runs[0]
+
+    def test_blocks_of_two_sequences_give_the_reference_bits(self, monkeypatch):
+        # 3 x 300 rows of width 256 + 64: two sequences (192,000 elements) fit within
+        # the largest group, the attention half's 263,680 elements, so the blocks are
+        # [0, 600) and [600, 900); each block draws the widen and narrow groups.
+        cfg = ToyNetConfig(arch=ArchParams(2, 4, 256, 64), emb=EmbeddingConfig(500, 300, 300, 1),
                            seed=9)
         tokens = np.random.default_rng(300).integers(0, 500, size=(3, 300))
-        assert toynet._feed_forward_bounds(900, 64 + 3072) == [0, 464, 900]
-        expected = reference_forward(ToyNet.build(cfg), tokens)
+        bounds = toynet._batch_bounds(cfg, 3, 300)
+        assert bounds == [0, 600, 900]
+        expected = reference_forward(ToyNet.build(cfg), tokens, bounds)
         draws = []
         draw = toynet._draw
         monkeypatch.setattr(toynet, "_draw", lambda seed, stretches: draws.append(seed)
